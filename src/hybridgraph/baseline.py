@@ -144,17 +144,6 @@ class BaselineGraph:
             self.prv[x] = p
         self.deg[self.owner[c]] -= 1
 
-    def _relink(self, c):
-        p = self.prv[c]
-        x = self.nxt[c]
-        if p == -1:
-            self.head[self.owner[c]] = c
-        else:
-            self.nxt[p] = c
-        if x != -1:
-            self.prv[x] = c
-        self.deg[self.owner[c]] += 1
-
     def _find_cell(self, u, v):
         nbr = self.nbr
         nxt = self.nxt
@@ -168,29 +157,68 @@ class BaselineGraph:
     # -- mutations ----------------------------------------------------
 
     def delete_edge(self, u, v):
-        cu = self._find_cell(u, v)
-        cv = self._find_cell(v, u)
+        nbr = self.nbr
+        nxt = self.nxt
+        prv = self.prv
+        head = self.head
+        deg = self.deg
+        cu = head[u]
+        while cu != -1 and nbr[cu] != v:
+            cu = nxt[cu]
+        cv = head[v]
+        while cv != -1 and nbr[cv] != u:
+            cv = nxt[cv]
         assert cu != -1 and cv != -1, f"delete_edge on non-adjacent pair ({u},{v})"
-        self._unlink(cu)
-        self._unlink(cv)
+        p = prv[cu]
+        x = nxt[cu]
+        if p == -1:
+            head[u] = x
+        else:
+            nxt[p] = x
+        if x != -1:
+            prv[x] = p
+        deg[u] -= 1
+        p = prv[cv]
+        x = nxt[cv]
+        if p == -1:
+            head[v] = x
+        else:
+            nxt[p] = x
+        if x != -1:
+            prv[x] = p
+        deg[v] -= 1
         self.log.append(("edge", cu, cv))
 
     def delete_vertex(self, v):
         assert self.active[v], f"delete_vertex on inactive vertex {v}"
         self.active[v] = False
         self.n_active -= 1
-        removed = []
         nbr = self.nbr
         nxt = self.nxt
-        c = self.head[v]
+        prv = self.prv
+        head = self.head
+        deg = self.deg
+        removed = []
+        c = head[v]
         while c != -1:
             w = nbr[c]
-            cw = self._find_cell(w, v)
-            self._unlink(cw)
+            cw = head[w]
+            while cw != -1 and nbr[cw] != v:
+                cw = nxt[cw]
+            assert cw != -1, f"no cell for {v} in the chain of {w}"
+            p = prv[cw]
+            x = nxt[cw]
+            if p == -1:
+                head[w] = x
+            else:
+                nxt[p] = x
+            if x != -1:
+                prv[x] = p
+            deg[w] -= 1
             removed.append(cw)
             c = nxt[c]
-        old_deg = self.deg[v]
-        self.deg[v] = 0
+        old_deg = deg[v]
+        deg[v] = 0
         self.log.append(("vertex", v, old_deg, removed))
 
     def add_edge(self, u, v):
@@ -211,19 +239,33 @@ class BaselineGraph:
         """Pop and invert log records back to a snapshot mark."""
         log = self.log
         assert 0 <= mark <= len(log), "mark from a different graph or future"
+        nxt = self.nxt
+        prv = self.prv
+        head = self.head
+        owner = self.owner
+        deg = self.deg
         while len(log) > mark:
             rec = log.pop()
             tag = rec[0]
-            if tag == "edge":
-                self._relink(rec[2])
-                self._relink(rec[1])
-            elif tag == "vertex":
-                _, v, old_deg, removed = rec
-                for c in reversed(removed):
-                    self._relink(c)
-                self.deg[v] = old_deg
-                self.active[v] = True
-                self.n_active += 1
-            else:  # "add"
+            if tag == "add":
                 self._unlink(rec[2])
                 self._unlink(rec[1])
+                continue
+            # relink in reverse order of removal; an unlinked cell kept
+            # its own prv/nxt, so each relink is O(1)
+            cells = reversed(rec[3]) if tag == "vertex" else (rec[2], rec[1])
+            for c in cells:
+                p = prv[c]
+                x = nxt[c]
+                if p == -1:
+                    head[owner[c]] = c
+                else:
+                    nxt[p] = c
+                if x != -1:
+                    prv[x] = c
+                deg[owner[c]] += 1
+            if tag == "vertex":
+                v = rec[1]
+                deg[v] = rec[2]
+                self.active[v] = True
+                self.n_active += 1

@@ -212,22 +212,38 @@ class ContractionGraph(HybridGraph):
         return deleted
 
     def delete_color(self, c):
-        """Remove color c and all member edges; costs O(cd(c) + cc(c))."""
+        """Remove color c and all member edges; costs O(cd(c) + cc(c)).
+
+        As in ``HybridGraph.delete_vertex``, each member's edges leave
+        from the top of its prefix, so only the far endpoint's row
+        changes and the member's degree drops to 0 once.
+        """
         f = self.frame
         assert self.idxlist[c] < f.n_c, f"delete_color on inactive color {c}"
         vc = f.vcolor
         cd = f.cd
         al = self.al
+        im = self.im
         deg = f.deg
-        raw_delete = HybridGraph.delete_edge
         members = self.csl[c]
         for idx in range(f.cc[c]):
             b = members[idx]
-            row = al[b]
+            row_b = al[b]
+            im_b = im[b]
             for j in range(deg[b] - 1, -1, -1):
-                x = row[j]
+                x = row_b[j]
                 cd[vc[x]] -= 1
-                raw_delete(self, b, x)
+                assert im[x][b] == j, f"index entry of ({x},{b}) out of step"
+                row = al[x]
+                i = im_b[x]
+                k = deg[x] - 1
+                y = row[k]
+                row[i] = y
+                row[k] = b
+                im[y][x] = i
+                im_b[x] = k
+                deg[x] = k
+            deg[b] = 0
         cd[c] = 0
         f.cc[c] = 0
         self._retire_color(c)

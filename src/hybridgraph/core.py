@@ -25,8 +25,9 @@ back exactly, but their order inside the prefix may differ from before
 the burst.
 
 Contract violations (deleting a non-adjacent pair, deleting an
-inactive vertex) are guarded by ``assert`` and disappear under
-``python -O`` for benchmark runs.
+inactive vertex) are guarded by ``assert``.  The CLI, ``hybridgraph
+bench`` and ``searchbench/run.py`` run with asserts on, so the guards
+are part of every measured time; ``python -O`` drops them.
 
 Instances are single-mutator: do not share one across threads.
 """
@@ -201,7 +202,15 @@ class HybridGraph:
         deg[v] = j
 
     def delete_vertex(self, v):
-        """Deactivate v and delete its live edges, costing O(deg(v))."""
+        """Deactivate v and delete its live edges, costing O(deg(v)).
+
+        v's neighbors are taken from the top of its prefix down, so the
+        slot being removed is always v's last live one and v's half of
+        each edge swap is a no-op: only the neighbor's row changes, and
+        ``deg[v]`` drops to 0 once at the end.  The tables end up
+        exactly as a ``delete_edge(row[j], v)`` per edge would leave
+        them.
+        """
         f = self.frame
         idxlist = self.idxlist
         assert idxlist[v] < f.n_c, f"delete_vertex on inactive vertex {v}"
@@ -214,10 +223,24 @@ class HybridGraph:
         vlist[last] = v
         idxlist[v] = last
         f.n_c = last
-        row = self.al[v]
-        delete_edge = self.delete_edge
-        for j in range(f.deg[v] - 1, -1, -1):
-            delete_edge(row[j], v)
+        al = self.al
+        im = self.im
+        deg = f.deg
+        row_v = al[v]
+        im_v = im[v]
+        for j in range(deg[v] - 1, -1, -1):
+            u = row_v[j]
+            assert im[u][v] == j, f"index entry of ({u},{v}) out of step"
+            row = al[u]
+            i = im_v[u]
+            k = deg[u] - 1
+            x = row[k]
+            row[i] = x
+            row[k] = v
+            im[x][u] = i
+            im_v[u] = k
+            deg[u] = k
+        deg[v] = 0
 
     # -- undo ---------------------------------------------------------
 

@@ -1,14 +1,17 @@
 """Counting twins of the representations.
 
-These subclasses re-implement the hot operations with explicit
-cell-access tallies (one count per array slot read or written), so
-tests can assert the structural cost contracts: constant-cell edge
-deletion, at-most-four-read adjacency, O(d) vertex deletion, O(n)
-restore independent of how much work it undoes.
+These subclasses add explicit cell-access tallies (one count per
+array slot read or written) to the hot operations, so tests can assert
+the structural cost contracts: constant-cell edge deletion,
+at-most-four-read adjacency, O(d) vertex deletion, O(n) restore
+independent of how much work it undoes.  Guard reads made only by
+``assert`` are not counted.
 
-The plain classes carry no counters at all; benchmarking uses them.
-Equivalence of twin and plain behavior is property-tested, which is
-what keeps the duplicated bodies honest.
+The hybrid twins' mutations call the plain bodies and bump the cells
+those bodies touch; queries that count per branch (``is_adjacent``)
+and the baseline's chain scans are re-implemented.  The plain classes
+carry no counters at all; benchmarking uses them.  Equivalence of twin
+and plain behavior is property-tested.
 
 Counter attribution: nested work belongs to the outermost operation
 (vertex deletion absorbs the cells its edge removals touch), so the
@@ -68,52 +71,17 @@ class CountingHybridGraph(HybridGraph):
         return i < self.frame.deg[v]
 
     def delete_edge(self, u, v):
-        al = self.al
-        im = self.im
-        deg = self.frame.deg
-        assert -1 < im[u][v] < deg[v], f"delete_edge on non-adjacent pair ({u},{v})"
-        row = al[u]
-        i = im[v][u]
-        j = deg[u] - 1
-        x = row[j]
-        row[i] = x
-        row[j] = v
-        im[x][u] = i
-        im[v][u] = j
-        deg[u] = j
-        row = al[v]
-        i = im[u][v]
-        j = deg[v] - 1
-        x = row[j]
-        row[i] = x
-        row[j] = u
-        im[x][v] = i
-        im[u][v] = j
-        deg[v] = j
+        HybridGraph.delete_edge(self, u, v)
         # per endpoint: reads im, deg, al[j]; writes al x2, im x2, deg
         self.counters.bump("delete_edge", 6, 10)
 
     def delete_vertex(self, v):
-        f = self.frame
-        idxlist = self.idxlist
-        assert idxlist[v] < f.n_c, f"delete_vertex on inactive vertex {v}"
-        vlist = self.vlist
-        last = f.n_c - 1
-        i = idxlist[v]
-        w = vlist[last]
-        vlist[i] = w
-        idxlist[w] = i
-        vlist[last] = v
-        idxlist[v] = last
-        f.n_c = last
-        row = self.al[v]
-        d = f.deg[v]
-        raw_delete = HybridGraph.delete_edge
-        for j in range(d - 1, -1, -1):
-            raw_delete(self, row[j], v)
+        d = self.frame.deg[v]
+        HybridGraph.delete_vertex(self, v)
         # swap-out: 3 reads (idxlist, vlist, deg), 4 writes; per edge:
-        # al[v][j] read plus the 16 cells of an uncounted edge deletion
-        self.counters.bump("delete_vertex", 3 + 7 * d, 4 + 10 * d)
+        # reads al[v][j], im, deg and al[u][k], writes the neighbor's
+        # row (al x2, im x2, deg); then deg[v] = 0
+        self.counters.bump("delete_vertex", 3 + 4 * d, 5 + 5 * d)
 
     def snapshot(self):
         n = len(self.frame.deg)
@@ -150,28 +118,9 @@ class CountingAdditionGraph(AdditionGraph):
         # reads ndeg x2; writes al, im, ndeg per endpoint
         self.counters.bump("add_edge", 2, 6)
 
-    def delete_edge(self, u, v):
-        HybridGraph.delete_edge(self, u, v)
-        self.counters.bump("delete_edge", 6, 10)
-
-    def delete_vertex(self, v):
-        f = self.frame
-        idxlist = self.idxlist
-        vlist = self.vlist
-        last = f.n_c - 1
-        i = idxlist[v]
-        w = vlist[last]
-        vlist[i] = w
-        idxlist[w] = i
-        vlist[last] = v
-        idxlist[v] = last
-        f.n_c = last
-        row = self.al[v]
-        d = f.deg[v]
-        raw_delete = HybridGraph.delete_edge
-        for j in range(d - 1, -1, -1):
-            raw_delete(self, row[j], v)
-        self.counters.bump("delete_vertex", 3 + 7 * d, 4 + 10 * d)
+    # deletions touch only the base prefix, exactly as in plain mode
+    delete_edge = CountingHybridGraph.delete_edge
+    delete_vertex = CountingHybridGraph.delete_vertex
 
     def snapshot(self):
         n = len(self.frame.deg)

@@ -16,7 +16,6 @@ three pairs; a branch whose pair is frozen is skipped, and a conflict
 with all three pairs frozen is unresolvable.
 """
 
-import sys
 import time
 
 from .common import (
@@ -25,6 +24,7 @@ from .common import (
     SolverResult,
     build_representation,
     harvest_counters,
+    recursion_limit,
 )
 from .verify import verify_ce
 
@@ -128,11 +128,11 @@ def solve_ce_parm(n, edges, k, repr_name="hybrid", timeout=None,
     if k < 0:
         raise ValueError("k must be non-negative")
     g = build_representation(repr_name, "addition", n, edges, instrumented)
-    sys.setrecursionlimit(max(10_000, 4 * k + 100))
     search = _EditSearch(g, Deadline(timeout))
-    t0 = time.perf_counter()
-    found = search.decide(k, frozenset())
-    wall = (time.perf_counter() - t0) * 1e3
+    with recursion_limit(max(10_000, 4 * k + 100)):
+        t0 = time.perf_counter()
+        found = search.decide(k, frozenset())
+        wall = (time.perf_counter() - t0) * 1e3
     witness = None
     if found:
         witness = list(search.edits)

@@ -1,6 +1,8 @@
 """Shared solver plumbing: results, deadlines, representation factory."""
 
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..addition import AdditionGraph
@@ -30,6 +32,18 @@ class Deadline:
 
     def expired(self):
         return self.t_end is not None and time.monotonic() > self.t_end
+
+
+@contextmanager
+def recursion_limit(limit):
+    """Run a recursive search under ``limit``, then give the caller
+    back the interpreter's previous limit, also on a timeout."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @dataclass

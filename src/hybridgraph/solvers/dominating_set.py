@@ -10,7 +10,6 @@ elements-left over largest-set-size.  Branching picks the largest set
 (lowest id on ties), so node counts are representation-independent.
 """
 
-import sys
 import time
 
 from .common import (
@@ -19,6 +18,7 @@ from .common import (
     SolverResult,
     build_representation,
     harvest_counters,
+    recursion_limit,
 )
 from .verify import verify_ds
 
@@ -149,11 +149,11 @@ def solve_ds_opt(n, edges, repr_name="hybrid", timeout=None,
         return SolverResult("ds", 0, 0, [], 0, 0.0, repr_name, size=0)
     g = build_representation(repr_name, "plain", 2 * n, cover_edges(n, edges),
                              instrumented)
-    sys.setrecursionlimit(max(10_000, 8 * n + 100))
     search = _CoverSearch(g, n, Deadline(timeout))
-    t0 = time.perf_counter()
-    witness = search.run()
-    wall = (time.perf_counter() - t0) * 1e3
+    with recursion_limit(max(10_000, 8 * n + 100)):
+        t0 = time.perf_counter()
+        witness = search.run()
+        wall = (time.perf_counter() - t0) * 1e3
     if not verify_ds(n, edges, witness):
         raise RuntimeError("cover search produced an invalid dominating set")
     return SolverResult("ds", n, len(witness), witness, search.nodes, wall,

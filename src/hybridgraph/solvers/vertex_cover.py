@@ -19,7 +19,6 @@ Every decision is made in canonical order (lowest id wins ties), so
 node counts are identical across representations.
 """
 
-import sys
 import time
 
 from .common import (
@@ -28,6 +27,7 @@ from .common import (
     SolverResult,
     build_representation,
     harvest_counters,
+    recursion_limit,
 )
 from .verify import verify_vc
 
@@ -166,11 +166,11 @@ def solve_vc_opt(n, edges, repr_name="hybrid", lb="clique", timeout=None,
     if lb not in ("clique", "matching"):
         raise ValueError(f"unknown lower bound {lb!r}")
     g = build_representation(repr_name, "plain", n, edges, instrumented)
-    sys.setrecursionlimit(max(10_000, 4 * n + 100))
     search = _OptSearch(g, lb, Deadline(timeout))
-    t0 = time.perf_counter()
-    witness = search.run()
-    wall = (time.perf_counter() - t0) * 1e3
+    with recursion_limit(max(10_000, 4 * n + 100)):
+        t0 = time.perf_counter()
+        witness = search.run()
+        wall = (time.perf_counter() - t0) * 1e3
     if not verify_vc(n, edges, witness):
         raise RuntimeError("optimizer produced an invalid cover")
     return SolverResult("vc", n, len(witness), witness, search.nodes, wall,
@@ -355,12 +355,12 @@ def solve_vc_parm(n, edges, k, repr_name="hybrid", fold=False, timeout=None,
         raise ValueError("folding requires the hybrid representation")
     mode = "contraction" if fold else "plain"
     g = build_representation(repr_name, mode, n, edges, instrumented)
-    sys.setrecursionlimit(max(10_000, 4 * n + 100))
     search = _FoldSearch(g, Deadline(timeout)) if fold \
         else _ParmSearch(g, Deadline(timeout))
-    t0 = time.perf_counter()
-    found = search.decide(k)
-    wall = (time.perf_counter() - t0) * 1e3
+    with recursion_limit(max(10_000, 4 * n + 100)):
+        t0 = time.perf_counter()
+        found = search.decide(k)
+        wall = (time.perf_counter() - t0) * 1e3
     witness = None
     if found:
         witness = search.unfold() if fold else sorted(search.partial)

@@ -42,13 +42,13 @@ def test_delete_vertex_linear_in_degree():
     g = CountingHybridGraph(G8_N, G8_EDGES)
     d = g.degree(2)
     g.delete_vertex(2)
-    assert g.counters.reads["delete_vertex"] == 3 + 7 * d
-    assert g.counters.writes["delete_vertex"] == 4 + 10 * d
+    assert g.counters.reads["delete_vertex"] == 3 + 4 * d
+    assert g.counters.writes["delete_vertex"] == 5 + 5 * d
     assert g.counters.accesses("delete_vertex") <= 17 * (d + 1)
     # deleting an isolated vertex is constant
     h = CountingHybridGraph(3, [])
     h.delete_vertex(1)
-    assert h.counters.accesses("delete_vertex") == 7
+    assert h.counters.accesses("delete_vertex") == 8
 
 
 def test_snapshot_restore_flat_cost():

@@ -2,6 +2,7 @@
 representations, with witness validity and node-count agreement."""
 
 import random
+import sys
 
 import pytest
 
@@ -241,6 +242,28 @@ def test_timeout_raises():
     n, edges = gnm(60, 700, 5)
     with pytest.raises(SolveTimeout):
         solve_vc_opt(n, edges, timeout=0.0)
+
+
+def test_solvers_restore_recursion_limit():
+    n, edges = gnm(20, 60, 4)
+    runs = [
+        lambda t: solve_vc_opt(n, edges, timeout=t),
+        lambda t: solve_vc_parm(n, edges, 12, timeout=t),
+        lambda t: solve_vc_parm(n, edges, 12, fold=True, timeout=t),
+        lambda t: solve_ds_opt(n, edges, timeout=t),
+        lambda t: solve_ce_parm(n, edges, 8, timeout=t),
+    ]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(2345)
+    try:
+        for run in runs:
+            run(None)
+            assert sys.getrecursionlimit() == 2345
+            with pytest.raises(SolveTimeout):
+                run(0.0)
+            assert sys.getrecursionlimit() == 2345
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_instrumented_run_returns_counters():
