@@ -34,8 +34,6 @@ from .core import HybridGraph
 
 
 class AdditionGraph(HybridGraph):
-    mode = "addition"
-
     __slots__ = ("base_deg",)
 
     def _init_mode(self):
@@ -94,7 +92,6 @@ class AdditionGraph(HybridGraph):
         n = self.n
         ndeg = f.ndeg
         assert u != v, "self-loop"
-        # static dispatch keeps instrumented subclasses' tallies clean
         assert not AdditionGraph.is_adjacent(self, u, v), \
             f"add_edge on adjacent pair ({u},{v})"
         # tail inside the padded area; holds iff each pair is edited at

@@ -25,8 +25,6 @@ from .core import DuplicateEdgeError, SelfLoopError, VertexRangeError
 
 
 class BaselineGraph:
-    mode = "alist"
-
     __slots__ = (
         "n", "nbr", "owner", "prv", "nxt", "head",
         "deg", "active", "n_active", "log",

@@ -214,7 +214,7 @@ def run_row(row, defaults, base_dir):
         rec["size"] = "" if first.size is None else first.size
         rec["nodes"] = first.nodes
         rec["wall_ms"] = round(statistics.median(r.wall_ms for r in results), 3)
-        if cfg.get("counters") and not fold:
+        if cfg.get("counters"):
             # one extra instrumented run, never timed
             inst = dispatch_solve(problem, spec.n, spec.edges, repr_name,
                                   k=k, fold=fold, lb=lb, timeout=timeout,

@@ -80,7 +80,7 @@ def solve(problem, input_path, repr_name, k, fold, lb, complement,
         res = benchmod.dispatch_solve(
             problem, spec.n, spec.edges, repr_name,
             k=k, fold=fold, lb=lb, timeout=timeout_s)
-        if counters and not fold:
+        if counters:
             res_inst = benchmod.dispatch_solve(
                 problem, spec.n, spec.edges, repr_name,
                 k=k, fold=fold, lb=lb, timeout=timeout_s, instrumented=True)
@@ -130,7 +130,7 @@ def solve(problem, input_path, repr_name, k, fold, lb, complement,
 @click.option("--reps", type=int, default=None, envvar="HYBRIDGRAPH_REPS",
               help="Override repetitions per run (median is reported).")
 @click.option("--counters", is_flag=True,
-              help="Add an untimed instrumented run per row (skipped for fold rows).")
+              help="Add an untimed instrumented run per row.")
 def bench(manifest, out, json_out, jobs, reps, counters):
     """Run a benchmark manifest and write a CSV report."""
     try:

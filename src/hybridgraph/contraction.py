@@ -29,8 +29,6 @@ from .core import HybridGraph
 
 
 class ContractionGraph(HybridGraph):
-    mode = "contract"
-
     __slots__ = ("csl", "_stamp", "_gen")
 
     def _init_mode(self):

@@ -92,8 +92,6 @@ class SearchFrame:
 class HybridGraph:
     """Plain mode: edge and vertex deletions, O(n) restore."""
 
-    mode = "plain"
-
     __slots__ = ("n", "al", "im", "vlist", "idxlist", "frame")
 
     def __init__(self, n, edges):

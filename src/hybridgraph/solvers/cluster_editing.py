@@ -28,8 +28,6 @@ from .common import (
 )
 from .verify import verify_ce
 
-_POLL = 1023
-
 
 class _EditSearch:
     def __init__(self, g, deadline):
@@ -84,7 +82,7 @@ class _EditSearch:
 
     def decide(self, k, frozen):
         self.nodes += 1
-        if self.nodes & _POLL == 1 and self.deadline.expired():
+        if self.deadline.expired():
             raise SolveTimeout
         g = self.g
         snap = g.snapshot()

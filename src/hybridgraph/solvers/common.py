@@ -9,11 +9,7 @@ from ..addition import AdditionGraph
 from ..baseline import BaselineGraph
 from ..contraction import ContractionGraph
 from ..core import HybridGraph
-from ..instrumented import (
-    CountingAdditionGraph,
-    CountingBaselineGraph,
-    CountingHybridGraph,
-)
+from ..instrumented import counting
 
 REPR_NAMES = ("hybrid", "alist")
 
@@ -23,7 +19,7 @@ class SolveTimeout(Exception):
 
 
 class Deadline:
-    """Monotonic-clock budget; solvers poll it every few thousand nodes."""
+    """Monotonic-clock budget; solvers poll it at every search node."""
 
     __slots__ = ("t_end",)
 
@@ -84,13 +80,6 @@ _CLASSES = {
     ("alist", "addition"): BaselineGraph,
 }
 
-_COUNTING = {
-    ("hybrid", "plain"): CountingHybridGraph,
-    ("hybrid", "addition"): CountingAdditionGraph,
-    ("alist", "plain"): CountingBaselineGraph,
-    ("alist", "addition"): CountingBaselineGraph,
-}
-
 
 def build_representation(repr_name, mode, n, edges, instrumented=False):
     """Construct the graph structure a solver runs on.
@@ -98,15 +87,14 @@ def build_representation(repr_name, mode, n, edges, instrumented=False):
     repr_name: "hybrid" (constant-time undo) or "alist" (linked-list
     baseline with log replay).  mode: "plain", "addition" (permanent
     edge insertion), or "contraction" (color merging; hybrid only).
+    instrumented: count the cells each op touches (see instrumented.py).
     """
     if repr_name not in REPR_NAMES:
         raise ValueError(f"unknown representation {repr_name!r}")
-    table = _COUNTING if instrumented else _CLASSES
-    cls = table.get((repr_name, mode))
+    cls = _CLASSES.get((repr_name, mode))
     if cls is None:
-        detail = "instrumented " if instrumented else ""
-        raise ValueError(f"no {detail}{mode!r} mode for representation {repr_name!r}")
-    return cls(n, edges)
+        raise ValueError(f"no {mode!r} mode for representation {repr_name!r}")
+    return (counting(cls) if instrumented else cls)(n, edges)
 
 
 def harvest_counters(g):

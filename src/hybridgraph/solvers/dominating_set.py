@@ -22,8 +22,6 @@ from .common import (
 )
 from .verify import verify_ds
 
-_POLL = 1023
-
 
 def cover_edges(n, edges):
     """Bipartite set/element edges for the closed neighborhoods."""
@@ -85,7 +83,7 @@ class _CoverSearch:
 
     def search(self):
         self.nodes += 1
-        if self.nodes & _POLL == 1 and self.deadline.expired():
+        if self.deadline.expired():
             raise SolveTimeout
         g = self.g
         partial = self.partial

@@ -31,8 +31,6 @@ from .common import (
 )
 from .verify import verify_vc
 
-_POLL = 1023
-
 
 def _reduce_degree01(g, partial, budget=None):
     """Apply degree-0/1 reductions (and the high-degree rule when a
@@ -128,7 +126,7 @@ class _OptSearch:
 
     def search(self):
         self.nodes += 1
-        if self.nodes & _POLL == 1 and self.deadline.expired():
+        if self.deadline.expired():
             raise SolveTimeout
         g = self.g
         partial = self.partial
@@ -187,7 +185,7 @@ class _ParmSearch:
 
     def decide(self, k):
         self.nodes += 1
-        if self.nodes & _POLL == 1 and self.deadline.expired():
+        if self.deadline.expired():
             raise SolveTimeout
         g = self.g
         snap = g.snapshot()
@@ -242,7 +240,7 @@ class _FoldSearch:
 
     def decide(self, k):
         self.nodes += 1
-        if self.nodes & _POLL == 1 and self.deadline.expired():
+        if self.deadline.expired():
             raise SolveTimeout
         g = self.g
         snap = g.snapshot()

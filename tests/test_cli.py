@@ -112,6 +112,16 @@ def test_solve_counters_output(runner, petersen_file):
     assert int(parts["reads"]) > int(parts["calls"])
 
 
+def test_solve_fold_counters_output(runner, tmp_path):
+    path = tmp_path / "c9.el"
+    path.write_text("9 9\n" + "".join(f"{i} {(i + 1) % 9}\n" for i in range(9)))
+    res = runner.invoke(main, ["solve", "vc-parm", "--input", str(path),
+                               "--k", "5", "--fold", "--counters"])
+    assert res.exit_code == 0
+    ops = {line.split(":")[0].strip() for line in res.stdout.splitlines()[1:]}
+    assert {"contract", "delete_color", "snapshot", "restore"} <= ops
+
+
 def test_solve_dimacs_with_warning(runner, tmp_path):
     path = tmp_path / "dup.col"
     path.write_text("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n")

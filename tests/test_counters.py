@@ -1,36 +1,45 @@
-"""Instrumented twins: behavior identical to the plain classes, exact
-per-operation access constants, and the flat-undo versus log-replay
-cost contrast on a star graph."""
+"""Cell counting on the plain op bodies: behavior identical to the
+plain classes, measured per-operation access counts, and the
+flat-undo versus log-replay cost contrast on a star graph.
 
+Counts include the reads of ``assert`` guards, so each exact constant
+is written as its guard-free part plus ``__debug__`` times the guard
+reads; ``test_readme_costs_without_asserts`` checks the guard-free part
+under ``python -O``.
+"""
+
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import hybridgraph
 from hybridgraph.addition import AdditionGraph
 from hybridgraph.baseline import BaselineGraph
+from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import HybridGraph
-from hybridgraph.instrumented import (
-    CountingAdditionGraph,
-    CountingBaselineGraph,
-    CountingHybridGraph,
-)
+from hybridgraph.instrumented import counting
+from hybridgraph.solvers import build_representation, solve_vc_parm
 
 from helpers import G8_EDGES, G8_N, gnm, star
 
 
 def test_delete_edge_constant_cost():
-    g = CountingHybridGraph(G8_N, G8_EDGES)
+    g = counting(HybridGraph)(G8_N, G8_EDGES)
     g.delete_edge(0, 3)
     assert g.counters.calls["delete_edge"] == 1
-    assert g.counters.reads["delete_edge"] == 6
+    assert g.counters.reads["delete_edge"] == 6 + 2 * __debug__
     assert g.counters.writes["delete_edge"] == 10
     g.delete_edge(2, 5)
-    assert g.counters.reads["delete_edge"] == 12
+    assert g.counters.reads["delete_edge"] == 2 * (6 + 2 * __debug__)
     assert g.counters.writes["delete_edge"] == 20
 
 
 def test_is_adjacent_cost():
-    g = CountingHybridGraph(G8_N, G8_EDGES)
+    g = counting(HybridGraph)(G8_N, G8_EDGES)
     g.is_adjacent(0, 7)  # im miss, one read
     assert g.counters.reads["is_adjacent"] == 1
     g.is_adjacent(0, 3)  # im hit plus degree check
@@ -39,138 +48,115 @@ def test_is_adjacent_cost():
 
 
 def test_delete_vertex_linear_in_degree():
-    g = CountingHybridGraph(G8_N, G8_EDGES)
+    g = counting(HybridGraph)(G8_N, G8_EDGES)
     d = g.degree(2)
     g.delete_vertex(2)
-    assert g.counters.reads["delete_vertex"] == 3 + 4 * d
+    # guard: the activity check plus one index check per edge
+    assert g.counters.reads["delete_vertex"] == 3 + 4 * d + (1 + d) * __debug__
     assert g.counters.writes["delete_vertex"] == 5 + 5 * d
     assert g.counters.accesses("delete_vertex") <= 17 * (d + 1)
     # deleting an isolated vertex is constant
-    h = CountingHybridGraph(3, [])
+    h = counting(HybridGraph)(3, [])
     h.delete_vertex(1)
-    assert h.counters.accesses("delete_vertex") == 8
+    assert h.counters.accesses("delete_vertex") == 8 + __debug__
 
 
 def test_snapshot_restore_flat_cost():
-    g = CountingHybridGraph(G8_N, G8_EDGES)
+    g = counting(HybridGraph)(G8_N, G8_EDGES)
     s = g.snapshot()
-    assert g.counters.accesses("snapshot") == 2 * (G8_N + 1)
-    # burst of work, then one restore: cost stays n+1 regardless
+    assert g.counters.accesses("snapshot") == 2 * G8_N
+    # burst of work, then one restore: cost stays n regardless
     g.delete_vertex(2)
     g.delete_vertex(5)
     g.delete_edge(0, 1)
     g.restore(s)
-    assert g.counters.reads["restore"] == G8_N + 1
-    assert g.counters.writes["restore"] == G8_N + 1
+    assert g.counters.reads["restore"] == G8_N
+    assert g.counters.writes["restore"] == G8_N
 
 
 def test_addition_mode_costs():
-    g = CountingAdditionGraph(G8_N, G8_EDGES)
+    g = counting(AdditionGraph)(G8_N, G8_EDGES)
     g.add_edge(0, 7)
-    assert g.counters.reads["add_edge"] == 2
+    # guard: the adjacency check (an index miss, one read) and both
+    # tail-capacity checks
+    assert g.counters.reads["add_edge"] == 4 + 3 * __debug__
     assert g.counters.writes["add_edge"] == 6
-    g.is_adjacent(0, 7)  # tail hit: index, degree, content, count
+    assert g.counters.calls == {"add_edge": 1}  # the nested check is add_edge's
+    g.is_adjacent(0, 7)  # tail hit: index, degree, count, content
     assert g.counters.reads["is_adjacent"] == 4
     s = g.snapshot()
-    assert g.counters.accesses("snapshot") == 2 * (2 * G8_N + 1)
+    assert g.counters.accesses("snapshot") == 2 * (2 * G8_N)
     g.restore(s)
-    assert g.counters.reads["restore"] == 2 * G8_N + 1
+    assert g.counters.reads["restore"] == 2 * G8_N
 
 
-def test_twin_matches_plain_hybrid():
+def _tables(g):
+    if isinstance(g, BaselineGraph):
+        return (g.nbr, g.owner, g.prv, g.nxt, g.head, g.deg, g.active,
+                g.n_active, g.log)
+    f = g.frame
+    return (g.al, g.im, g.vlist, g.idxlist, f.deg, f.n_c, f.ndeg,
+            f.vcolor, f.cc, f.cd, getattr(g, "csl", None))
+
+
+def _random_op(rng, g, mode, edited):
+    """One op valid on g in `mode`, as (name, args)."""
+    r = rng.random()
+    live = sorted((v, w) for v in g.active_vertices() for w in g.neighbors(v)
+                  if v < w and (v, w) not in edited)
+    if mode == "contraction":
+        colors = [c for c in g.active_colors() if g.color_degree(c)]
+        if r < 0.3 and colors:
+            c = rng.choice(colors)
+            a = next(m for m in g.color_members(c) if g.degree(m))
+            return "contract", (a, g.neighbors(a)[0])
+        if r < 0.45 and g.active_count():
+            return "delete_color", (rng.choice(g.active_colors()),)
+    elif r < 0.3 and mode in ("addition", "alist"):
+        us = sorted(g.active_vertices())
+        pairs = [(u, v) for i, u in enumerate(us) for v in us[i + 1:]
+                 if not g.is_adjacent(u, v) and (u, v) not in edited]
+        if pairs:
+            return "add_edge", rng.choice(pairs)
+    elif r < 0.45 and mode != "addition" and g.active_count():
+        return "delete_vertex", (rng.choice(sorted(g.active_vertices())),)
+    if r < 0.75 and live:
+        return "delete_edge", rng.choice(live)
+    v = rng.randrange(g.n)
+    return rng.choice((("is_adjacent", (v, rng.randrange(g.n))),
+                       ("degree", (v,)), ("max_degree_vertex", ()),
+                       ("active_edge_count", ())))
+
+
+@pytest.mark.parametrize("repr_name, mode", [
+    ("hybrid", "plain"), ("hybrid", "addition"), ("hybrid", "contraction"),
+    ("alist", "addition")])
+def test_counting_matches_plain(repr_name, mode):
     rng = random.Random(2200)
-    n, edges = gnm(16, 40, 3)
-    a = HybridGraph(n, edges)
-    b = CountingHybridGraph(n, edges)
+    n, edges = gnm(14, 30, 5)
+    a = build_representation(repr_name, mode, n, edges)
+    b = build_representation(repr_name, mode, n, edges, instrumented=True)
+    assert type(b).__mro__[1] is type(a)
+    op_mode = "alist" if repr_name == "alist" else mode
     stack = []
+    edited = set()  # pairs edited on the current path (addition discipline)
     for _ in range(300):
         r = rng.random()
-        if r < 0.15:
-            stack.append((a.snapshot(), b.snapshot()))
-        elif r < 0.3 and stack:
-            sa, sb = stack.pop()
+        if r < 0.12:
+            stack.append((a.snapshot(), b.snapshot(), set(edited)))
+        elif r < 0.24 and stack:
+            sa, sb, edited = stack.pop()
             a.restore(sa)
             b.restore(sb)
-        elif r < 0.7 and a.active_edge_count():
-            v = a.max_degree_vertex()
-            w = min(a.neighbors(v))
-            a.delete_edge(v, w)
-            b.delete_edge(v, w)
-        elif a.active_count():
-            v = min(a.active_vertices())
-            a.delete_vertex(v)
-            b.delete_vertex(v)
-        assert a.al == b.al and a.im == b.im
-        assert a.frame.deg == b.frame.deg
-        assert a.frame.n_c == b.frame.n_c
-        assert a.vlist == b.vlist
-
-
-def test_twin_matches_plain_addition():
-    rng = random.Random(2201)
-    n, edges = gnm(12, 20, 9)
-    a = AdditionGraph(n, edges)
-    b = CountingAdditionGraph(n, edges)
-    edited = set()
-    for _ in range(200):
-        r = rng.random()
-        us = a.active_vertices()
-        base_live = [
-            (v, w)
-            for v in sorted(us)
-            for w in a.al[v][: a.frame.deg[v]]
-            if v < w
-        ]
-        if r < 0.5 and base_live:
-            v, w = rng.choice(base_live)
-            a.delete_edge(v, w)
-            b.delete_edge(v, w)
-            edited.add((v, w))
         else:
-            pairs = [
-                (u, v)
-                for i, u in enumerate(us)
-                for v in us[i + 1 :]
-                if not a.is_adjacent(u, v)
-                if (u, v) not in edited
-            ]
-            if not pairs:
-                continue
-            u, v = rng.choice(pairs)
-            a.add_edge(u, v)
-            b.add_edge(u, v)
-            edited.add((u, v))
-        assert a.al == b.al and a.im == b.im
-        assert a.frame.ndeg == b.frame.ndeg
-
-
-def test_twin_matches_plain_baseline():
-    rng = random.Random(2202)
-    n, edges = gnm(14, 30, 5)
-    a = BaselineGraph(n, edges)
-    b = CountingBaselineGraph(n, edges)
-    stack = []
-    for _ in range(200):
-        r = rng.random()
-        if r < 0.15:
-            stack.append((a.snapshot(), b.snapshot()))
-        elif r < 0.3 and stack:
-            sa, sb = stack.pop()
-            a.restore(sa)
-            b.restore(sb)
-        elif r < 0.7 and a.active_edge_count():
-            v = a.max_degree_vertex()
-            w = min(a.neighbors(v))
-            a.delete_edge(v, w)
-            b.delete_edge(v, w)
-        elif a.active_count():
-            v = max(a.active_vertices())
-            a.delete_vertex(v)
-            b.delete_vertex(v)
-        assert a.active_count() == b.active_count()
-        assert a.active_edge_count() == b.active_edge_count()
-        for v in a.active_vertices():
-            assert a.neighbors(v) == b.neighbors(v)
+            op, args = _random_op(rng, a, op_mode, edited)
+            if op in ("add_edge", "delete_edge"):
+                edited.add(args)
+            assert getattr(a, op)(*args) == getattr(b, op)(*args), op
+        assert _tables(a) == _tables(b)
+    totals = b.counters.as_dict()
+    assert {"snapshot", "restore", "delete_edge"} <= set(totals)
+    assert b.counters.total_accesses() > 0
 
 
 def test_star_center_deletion_hybrid_beats_baseline():
@@ -179,8 +165,8 @@ def test_star_center_deletion_hybrid_beats_baseline():
     # hybrid pays a constant.  (Chains grow at the head, so leaf 1's
     # twin sits deepest.)
     n, edges = star(50)
-    h = CountingHybridGraph(n, edges)
-    b = CountingBaselineGraph(n, edges)
+    h = counting(HybridGraph)(n, edges)
+    b = counting(BaselineGraph)(n, edges)
     h.delete_vertex(1)
     b.delete_vertex(1)
     hy = h.counters.accesses("delete_vertex")
@@ -191,13 +177,105 @@ def test_star_center_deletion_hybrid_beats_baseline():
 
 
 def test_counter_dict_roundtrip():
-    g = CountingHybridGraph(G8_N, G8_EDGES)
+    g = counting(HybridGraph)(G8_N, G8_EDGES)
     g.delete_edge(0, 1)
     g.is_adjacent(0, 1)
     d = g.counters.as_dict()
     assert d["delete_edge"]["calls"] == 1
-    assert d["delete_edge"]["reads"] == 6
+    assert d["delete_edge"]["reads"] == 6 + 2 * __debug__
     assert d["delete_edge"]["writes"] == 10
     assert g.counters.total_accesses() == sum(
         v["reads"] + v["writes"] for v in d.values()
     )
+
+
+_README_PROBE = """
+import json
+from hybridgraph import AdditionGraph, HybridGraph
+from hybridgraph.instrumented import counting
+
+def cost(g, op, *args):
+    c = g.counters
+    r, w = c.reads.get(op, 0), c.writes.get(op, 0)
+    getattr(g, op)(*args)
+    return [c.reads[op] - r, c.writes[op] - w]
+
+n = 8
+edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (4, 5)]
+g = counting(HybridGraph)(n, edges)
+out = {"is_adjacent miss": cost(g, "is_adjacent", 0, 7),
+       "is_adjacent hit": cost(g, "is_adjacent", 0, 1),
+       "delete_edge": cost(g, "delete_edge", 2, 3)}
+s = g.snapshot()
+out["snapshot"] = [g.counters.reads["snapshot"], g.counters.writes["snapshot"]]
+for v in (4, 0, 6):  # degrees 1, 3, 0
+    d = g.degree(v)
+    out[f"delete_vertex d={d}"] = cost(g, "delete_vertex", v)
+out["restore"] = cost(g, "restore", s)
+a = counting(AdditionGraph)(n, edges)
+out["add_edge"] = cost(a, "add_edge", 0, 7)
+out["addition is_adjacent tail hit"] = cost(a, "is_adjacent", 0, 7)
+s = a.snapshot()
+out["addition restore"] = cost(a, "restore", s)
+print(json.dumps(out))
+"""
+
+
+def test_readme_costs_without_asserts():
+    """The README cost table's guard-free constants, measured under -O."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hybridgraph.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _README_PROBE], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    got = json.loads(out.stdout)
+    n = 8
+    want = {"is_adjacent miss": [1, 0], "is_adjacent hit": [2, 0],
+            "delete_edge": [6, 10], "snapshot": [n, n], "restore": [n, n],
+            "add_edge": [4, 6], "addition is_adjacent tail hit": [4, 0],
+            "addition restore": [2 * n, 2 * n]}
+    for d in (1, 3, 0):
+        want[f"delete_vertex d={d}"] = [3 + 4 * d, 5 + 5 * d]
+    assert got == want
+
+
+def test_contraction_ops_counted():
+    n, edges = gnm(16, 40, 7)
+    res = solve_vc_parm(n, edges, 9, fold=True, instrumented=True)
+    plain = solve_vc_parm(n, edges, 9, fold=True)
+    assert (res.answer, res.nodes) == (plain.answer, plain.nodes)
+    assert res.counters["contract"]["calls"] > 0
+    assert res.counters["delete_color"]["calls"] > 0
+
+    # delete_color is linear in cc(c) + cd(c); contract in the sizes and
+    # color degrees of both sides plus r, the colors adjacent to both
+    rng = random.Random(7)
+    g = counting(ContractionGraph)(n, edges)
+    f = g.frame
+    g.snapshot()  # deg, vcolor, cc and cd
+    assert g.counters.accesses("snapshot") == 2 * (4 * n)
+    checked = 0
+    while g.active_edge_count():
+        c = rng.choice([c for c in g.active_colors() if g.color_degree(c)])
+        c0 = g.counters.as_dict()
+        if rng.random() < 0.3:
+            cc, cd = f.cc[c], f.cd[c]
+            g.delete_color(c)
+            want = {"delete_color": (3 + 2 * cc + 6 * cd + (1 + cd) * __debug__,
+                                     6 + cc + 6 * cd)}
+        else:
+            a = next(m for m in g.color_members(c) if g.degree(m))
+            x = g.neighbors(a)[0]
+            cv = f.vcolor[x]
+            su, sv, du, dv = f.cc[c], f.cc[cv], f.cd[c], f.cd[cv]
+            r = len(set(g.color_neighbors(c)) & set(g.color_neighbors(cv)))
+            g.contract(a, x)
+            want = {"contract": (16 + 2 * (su + du) + 3 * sv + 2 * dv + 7 * r
+                                 + (4 + 2 * r) * __debug__,
+                                 18 + 2 * sv + 11 * r)}
+        for op, (reads, writes) in want.items():
+            before = c0.get(op, {"reads": 0, "writes": 0})
+            after = g.counters.as_dict()[op]
+            assert (after["reads"] - before["reads"],
+                    after["writes"] - before["writes"]) == (reads, writes), op
+            checked += 1
+    assert checked > 3
