@@ -16,26 +16,11 @@ three pairs; a branch whose pair is frozen is skipped, and a conflict
 with all three pairs frozen is unresolvable.
 """
 
-import time
-
-from .common import (
-    Deadline,
-    SolveTimeout,
-    SolverResult,
-    build_representation,
-    harvest_counters,
-    recursion_limit,
-)
+from .common import Search, build_representation, timed
 from .verify import verify_ce
 
 
-class _EditSearch:
-    def __init__(self, g, deadline):
-        self.g = g
-        self.deadline = deadline
-        self.nodes = 0
-        self.edits = []
-
+class _EditSearch(Search):
     def _drop_clique_components(self):
         g = self.g
         seen = set()
@@ -80,22 +65,14 @@ class _EditSearch:
                         packed += 1
         return first, packed
 
-    def decide(self, k, frozen):
-        self.nodes += 1
-        if self.deadline.expired():
-            raise SolveTimeout
+    def expand(self, k, frozen, edit=None):
+        """Branch edit: ``edit`` is ("del" | "add", a, b), already
+        counted in ``k`` and ``frozen``."""
         g = self.g
-        snap = g.snapshot()
-        mark = len(self.edits)
-        ok = self._inner(k, frozen)
-        if not ok:
-            del self.edits[mark:]
-        g.restore(snap)
-        return ok
-
-    def _inner(self, k, frozen):
-        g = self.g
-        edits = self.edits
+        if edit:
+            op, a, b = edit
+            self.trail.append((op, min(a, b), max(a, b)))
+            (g.delete_edge if op == "del" else g.add_edge)(a, b)
         self._drop_clique_components()
         triple, bound = self._first_conflict_and_bound()
         if triple is None:
@@ -105,18 +82,9 @@ class _EditSearch:
         x, y, z = triple
         for op, a, b in (("del", x, y), ("del", y, z), ("add", x, z)):
             pair = (min(a, b), max(a, b))
-            if pair in frozen:
-                continue
-            s2 = g.snapshot()
-            edits.append((op, pair[0], pair[1]))
-            if op == "del":
-                g.delete_edge(a, b)
-            else:
-                g.add_edge(a, b)
-            if self.decide(k - 1, frozen | {pair}):
+            if pair not in frozen and \
+                    self.node(k - 1, frozen | {pair}, (op, a, b)):
                 return True
-            g.restore(s2)
-            edits.pop()
         return False
 
 
@@ -126,16 +94,11 @@ def solve_ce_parm(n, edges, k, repr_name="hybrid", timeout=None,
     if k < 0:
         raise ValueError("k must be non-negative")
     g = build_representation(repr_name, "addition", n, edges, instrumented)
-    search = _EditSearch(g, Deadline(timeout))
-    with recursion_limit(max(10_000, 4 * k + 100)):
-        t0 = time.perf_counter()
-        found = search.decide(k, frozenset())
-        wall = (time.perf_counter() - t0) * 1e3
-    witness = None
-    if found:
-        witness = list(search.edits)
-        if not verify_ce(n, edges, witness, k):
-            raise RuntimeError("edit search produced an invalid solution")
-    return SolverResult("ce", n, found, witness, search.nodes, wall,
-                        repr_name, size=len(witness) if witness else None,
-                        k=k, counters=harvest_counters(g))
+    search = _EditSearch(g, timeout)
+    # each pair is edited at most once along a path
+    depth = min(k, n * (n - 1) // 2) + 1
+    found, wall = timed(depth, search.node, k, frozenset())
+    witness = list(search.trail) if found else None
+    if found and not verify_ce(n, edges, witness, k):
+        raise RuntimeError("edit search produced an invalid solution")
+    return search.result("ce", n, found, witness, wall, repr_name, k=k)

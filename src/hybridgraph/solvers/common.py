@@ -1,8 +1,8 @@
-"""Shared solver plumbing: results, deadlines, representation factory."""
+"""Shared solver plumbing: the search scaffold, results, deadlines,
+representation factory."""
 
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..addition import AdditionGraph
@@ -24,22 +24,64 @@ class Deadline:
     __slots__ = ("t_end",)
 
     def __init__(self, seconds=None):
+        if seconds is not None and not seconds >= 0:  # also rejects NaN
+            raise ValueError(f"timeout must be a non-negative number of "
+                             f"seconds, got {seconds!r}")
         self.t_end = None if seconds is None else time.monotonic() + seconds
 
     def expired(self):
         return self.t_end is not None and time.monotonic() > self.t_end
 
 
-@contextmanager
-def recursion_limit(limit):
-    """Run a recursive search under ``limit``, then give the caller
-    back the interpreter's previous limit, also on a timeout."""
+def timed(depth, root, *args):
+    """``root(*args)`` with room for ``depth`` nested search nodes,
+    under a raised recursion limit that is given back on exit, also on
+    a timeout.  Returns (value, wall_ms)."""
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
+    sys.setrecursionlimit(max(10_000, 4 * depth + 100))
     try:
-        yield
+        t0 = time.perf_counter()
+        value = root(*args)
+        return value, (time.perf_counter() - t0) * 1e3
     finally:
         sys.setrecursionlimit(old)
+
+
+class Search:
+    """One exact search over graph ``g``.  A subclass defines
+    ``expand(*args)``: apply the branch edit that leads to the node,
+    then reduce, bound, and branch by calling ``node`` again.  The edit
+    and everything after it are undone by the one frame snapshot the
+    node takes on entry; entries the node pushed onto ``trail`` (its
+    part of the witness) are dropped unless ``expand`` returned True,
+    so a decision search that succeeds keeps its witness and an
+    optimization search, whose ``expand`` returns None, always rolls
+    back."""
+
+    def __init__(self, g, timeout):
+        self.g = g
+        self.deadline = Deadline(timeout)
+        self.nodes = 0
+        self.trail = []
+
+    def node(self, *args):
+        self.nodes += 1
+        if self.deadline.expired():
+            raise SolveTimeout
+        snap = self.g.snapshot()
+        mark = len(self.trail)
+        found = self.expand(*args)
+        self.g.restore(snap)
+        if not found:
+            del self.trail[mark:]
+        return found
+
+    def result(self, problem, n, answer, witness, wall_ms, repr_name, **kw):
+        counters = getattr(self.g, "counters", None)
+        return SolverResult(
+            problem, n, answer, witness, self.nodes, wall_ms, repr_name,
+            size=None if witness is None else len(witness),
+            counters=None if counters is None else counters.as_dict(), **kw)
 
 
 @dataclass
@@ -96,7 +138,3 @@ def build_representation(repr_name, mode, n, edges, instrumented=False):
         raise ValueError(f"no {mode!r} mode for representation {repr_name!r}")
     return (counting(cls) if instrumented else cls)(n, edges)
 
-
-def harvest_counters(g):
-    counters = getattr(g, "counters", None)
-    return counters.as_dict() if counters is not None else None

@@ -10,16 +10,7 @@ elements-left over largest-set-size.  Branching picks the largest set
 (lowest id on ties), so node counts are representation-independent.
 """
 
-import time
-
-from .common import (
-    Deadline,
-    SolveTimeout,
-    SolverResult,
-    build_representation,
-    harvest_counters,
-    recursion_limit,
-)
+from .common import Search, build_representation, timed
 from .verify import verify_ds
 
 
@@ -31,13 +22,10 @@ def cover_edges(n, edges):
     return out
 
 
-class _CoverSearch:
-    def __init__(self, g, n, deadline):
-        self.g = g
+class _CoverSearch(Search):
+    def __init__(self, g, timeout, n):
+        super().__init__(g, timeout)
         self.n = n
-        self.deadline = deadline
-        self.nodes = 0
-        self.partial = []
         self.best = None
 
     def _sets_and_elements(self):
@@ -50,7 +38,7 @@ class _CoverSearch:
 
     def _include(self, s):
         g = self.g
-        self.partial.append(s)
+        self.trail.append(s)
         for e in sorted(g.neighbors(s)):
             g.delete_vertex(e)
         g.delete_vertex(s)
@@ -58,7 +46,6 @@ class _CoverSearch:
     def greedy(self):
         g = self.g
         snap = g.snapshot()
-        mark = len(self.partial)
         while True:
             sets, elems = self._sets_and_elements()
             if not elems:
@@ -71,39 +58,35 @@ class _CoverSearch:
                     best_s = s
                     best_d = d
             self._include(best_s)
-        cover = list(self.partial)
-        del self.partial[mark:]
         g.restore(snap)
+        cover, self.trail = self.trail, []
         return cover
 
     def run(self):
         self.best = self.greedy()
-        self.search()
+        self.node(())
         return sorted(self.best)
 
-    def search(self):
-        self.nodes += 1
-        if self.deadline.expired():
-            raise SolveTimeout
+    def expand(self, take, drop=()):
+        """Branch edit: include the sets in ``take``, exclude those in
+        ``drop``."""
         g = self.g
-        partial = self.partial
-        mark = len(partial)
-        snap = g.snapshot()
-        feasible = True
+        trail = self.trail
+        for s in take:
+            self._include(s)
+        for s in drop:
+            g.delete_vertex(s)
         while True:
             reduced = False
             sets, elems = self._sets_and_elements()
             for e in sorted(elems):
                 d = g.degree(e)
                 if d == 0:
-                    feasible = False
-                    break
+                    return
                 if d == 1:
                     self._include(g.neighbors(e)[0])
                     reduced = True
                     break
-            if not feasible:
-                break
             if not reduced:
                 for s in sorted(sets):
                     if g.degree(s) == 0:
@@ -111,49 +94,32 @@ class _CoverSearch:
                         reduced = True
             if not reduced:
                 break
-        if feasible:
-            sets, elems = self._sets_and_elements()
-            if not elems:
-                if len(partial) < len(self.best):
-                    self.best = list(partial)
-            elif sets:
-                max_card = 0
-                pick = None
-                for s in sorted(sets):
-                    d = g.degree(s)
-                    if d > max_card:
-                        max_card = d
-                        pick = s
-                need = -(-len(elems) // max_card) if max_card else len(elems)
-                if max_card and len(partial) + need < len(self.best):
-                    s2 = g.snapshot()
-                    self._include(pick)
-                    self.search()
-                    g.restore(s2)
-                    partial.pop()
-                    if len(partial) + 1 < len(self.best):
-                        s2 = g.snapshot()
-                        g.delete_vertex(pick)
-                        self.search()
-                        g.restore(s2)
-        g.restore(snap)
-        del partial[mark:]
+        sets, elems = self._sets_and_elements()
+        if not elems:
+            if len(trail) < len(self.best):
+                self.best = list(trail)
+        elif sets:
+            max_card = 0
+            pick = None
+            for s in sorted(sets):
+                d = g.degree(s)
+                if d > max_card:
+                    max_card = d
+                    pick = s
+            need = -(-len(elems) // max_card) if max_card else len(elems)
+            if max_card and len(trail) + need < len(self.best):
+                self.node((pick,))
+                if len(trail) + 1 < len(self.best):
+                    self.node((), (pick,))
 
 
 def solve_ds_opt(n, edges, repr_name="hybrid", timeout=None,
                  instrumented=False):
     """Minimum dominating set size with a witness."""
-    if n == 0:
-        return SolverResult("ds", 0, 0, [], 0, 0.0, repr_name, size=0)
     g = build_representation(repr_name, "plain", 2 * n, cover_edges(n, edges),
                              instrumented)
-    search = _CoverSearch(g, n, Deadline(timeout))
-    with recursion_limit(max(10_000, 8 * n + 100)):
-        t0 = time.perf_counter()
-        witness = search.run()
-        wall = (time.perf_counter() - t0) * 1e3
+    search = _CoverSearch(g, timeout, n)
+    witness, wall = timed(n + 1, search.run)
     if not verify_ds(n, edges, witness):
         raise RuntimeError("cover search produced an invalid dominating set")
-    return SolverResult("ds", n, len(witness), witness, search.nodes, wall,
-                        repr_name, size=len(witness),
-                        counters=harvest_counters(g))
+    return search.result("ds", n, len(witness), witness, wall, repr_name)

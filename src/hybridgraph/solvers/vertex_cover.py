@@ -19,20 +19,19 @@ Every decision is made in canonical order (lowest id wins ties), so
 node counts are identical across representations.
 """
 
-import time
-
-from .common import (
-    Deadline,
-    SolveTimeout,
-    SolverResult,
-    build_representation,
-    harvest_counters,
-    recursion_limit,
-)
+from .common import Search, build_representation, timed
 from .verify import verify_vc
 
 
-def _reduce_degree01(g, partial, budget=None):
+def _delete(g, trail, take, drop):
+    """Branch edit: put ``take`` into the cover, then delete ``take``
+    and ``drop`` from the graph."""
+    trail.extend(take)
+    for v in (*take, *drop):
+        g.delete_vertex(v)
+
+
+def _reduce_degree01(g, trail, budget=None):
     """Apply degree-0/1 reductions (and the high-degree rule when a
     budget is given) until none fires.  Returns the remaining budget,
     or None if the budget went negative."""
@@ -50,7 +49,7 @@ def _reduce_degree01(g, partial, budget=None):
                         return None
                     k -= 1
                 w = g.neighbors(v)[0]
-                partial.append(w)
+                trail.append(w)
                 g.delete_vertex(w)
                 g.delete_vertex(v)
                 reduced = True
@@ -59,7 +58,7 @@ def _reduce_degree01(g, partial, budget=None):
                 if k == 0:
                     return None
                 k -= 1
-                partial.append(v)
+                trail.append(v)
                 g.delete_vertex(v)
                 reduced = True
                 break
@@ -67,13 +66,10 @@ def _reduce_degree01(g, partial, budget=None):
             return k
 
 
-class _OptSearch:
-    def __init__(self, g, lb_mode, deadline):
-        self.g = g
+class _OptSearch(Search):
+    def __init__(self, g, timeout, lb_mode):
+        super().__init__(g, timeout)
         self.lb_mode = lb_mode
-        self.deadline = deadline
-        self.nodes = 0
-        self.partial = []
         self.best = None
 
     def greedy_cover(self):
@@ -121,41 +117,23 @@ class _OptSearch:
     def run(self):
         self.best = self.greedy_cover()
         if self.g.active_edge_count():
-            self.search()
+            self.node(())
         return sorted(self.best)
 
-    def search(self):
-        self.nodes += 1
-        if self.deadline.expired():
-            raise SolveTimeout
+    def expand(self, take, drop=()):
         g = self.g
-        partial = self.partial
-        mark = len(partial)
-        snap = g.snapshot()
-        _reduce_degree01(g, partial)
+        trail = self.trail
+        _delete(g, trail, take, drop)
+        _reduce_degree01(g, trail)
         if g.active_edge_count() == 0:
-            if len(partial) < len(self.best):
-                self.best = list(partial)
-        elif len(partial) + self.lower_bound() < len(self.best):
+            if len(trail) < len(self.best):
+                self.best = list(trail)
+        elif len(trail) + self.lower_bound() < len(self.best):
             v = g.max_degree_vertex()
             nbrs = sorted(g.neighbors(v))
-            s2 = g.snapshot()
-            partial.append(v)
-            g.delete_vertex(v)
-            self.search()
-            g.restore(s2)
-            partial.pop()
-            if len(partial) + len(nbrs) < len(self.best):
-                s2 = g.snapshot()
-                partial.extend(nbrs)
-                for w in nbrs:
-                    g.delete_vertex(w)
-                g.delete_vertex(v)
-                self.search()
-                g.restore(s2)
-                del partial[-len(nbrs):]
-        g.restore(snap)
-        del partial[mark:]
+            self.node((v,))
+            if len(trail) + len(nbrs) < len(self.best):
+                self.node(nbrs, (v,))
 
 
 def solve_vc_opt(n, edges, repr_name="hybrid", lb="clique", timeout=None,
@@ -164,42 +142,18 @@ def solve_vc_opt(n, edges, repr_name="hybrid", lb="clique", timeout=None,
     if lb not in ("clique", "matching"):
         raise ValueError(f"unknown lower bound {lb!r}")
     g = build_representation(repr_name, "plain", n, edges, instrumented)
-    search = _OptSearch(g, lb, Deadline(timeout))
-    with recursion_limit(max(10_000, 4 * n + 100)):
-        t0 = time.perf_counter()
-        witness = search.run()
-        wall = (time.perf_counter() - t0) * 1e3
+    search = _OptSearch(g, timeout, lb)
+    witness, wall = timed(n + 1, search.run)
     if not verify_vc(n, edges, witness):
         raise RuntimeError("optimizer produced an invalid cover")
-    return SolverResult("vc", n, len(witness), witness, search.nodes, wall,
-                        repr_name, size=len(witness),
-                        counters=harvest_counters(g))
+    return search.result("vc", n, len(witness), witness, wall, repr_name)
 
 
-class _ParmSearch:
-    def __init__(self, g, deadline):
-        self.g = g
-        self.deadline = deadline
-        self.nodes = 0
-        self.partial = []
-
-    def decide(self, k):
-        self.nodes += 1
-        if self.deadline.expired():
-            raise SolveTimeout
+class _ParmSearch(Search):
+    def expand(self, k, take, drop=()):
         g = self.g
-        snap = g.snapshot()
-        mark = len(self.partial)
-        ok = self._inner(k)
-        if not ok:
-            del self.partial[mark:]
-        g.restore(snap)
-        return ok
-
-    def _inner(self, k):
-        g = self.g
-        partial = self.partial
-        k = _reduce_degree01(g, partial, k)
+        _delete(g, self.trail, take, drop)
+        k = _reduce_degree01(g, self.trail, k - len(take))
         if k is None:
             return False
         m = g.active_edge_count()
@@ -208,51 +162,19 @@ class _ParmSearch:
         if k <= 0 or m > k * k:
             return False
         v = g.max_degree_vertex()
-        s2 = g.snapshot()
-        partial.append(v)
-        g.delete_vertex(v)
-        if self.decide(k - 1):
+        if self.node(k, (v,)):
             return True
-        g.restore(s2)
-        partial.pop()
         nbrs = sorted(g.neighbors(v))
-        if len(nbrs) <= k:
-            partial.extend(nbrs)
-            for w in nbrs:
-                g.delete_vertex(w)
-            g.delete_vertex(v)
-            if self.decide(k - len(nbrs)):
-                return True
-            del partial[-len(nbrs):]
-        return False
+        return len(nbrs) <= k and self.node(k, nbrs, (v,))
 
 
-class _FoldSearch:
-    """Decision search over the contraction structure.  The event log
-    carries ("take", color) and ("fold", center, na, nb) entries; a
-    backward replay turns the surviving log into a vertex witness."""
-
-    def __init__(self, g, deadline):
-        self.g = g
-        self.deadline = deadline
-        self.nodes = 0
-        self.events = []
-
-    def decide(self, k):
-        self.nodes += 1
-        if self.deadline.expired():
-            raise SolveTimeout
-        g = self.g
-        snap = g.snapshot()
-        mark = len(self.events)
-        ok = self._inner(k)
-        if not ok:
-            del self.events[mark:]
-        g.restore(snap)
-        return ok
+class _FoldSearch(Search):
+    """Decision search over the contraction structure.  The trail
+    carries ("take", color) and ("fold", center, na, nb) events; a
+    backward replay turns the surviving trail into a vertex witness."""
 
     def _take(self, c, k):
-        self.events.append(("take", c))
+        self.trail.append(("take", c))
         self.g.delete_color(c)
         return k - 1
 
@@ -265,9 +187,10 @@ class _FoldSearch:
                     return
         raise AssertionError(f"adjacent colors {c},{w} share no live edge")
 
-    def _inner(self, k):
+    def expand(self, k, take):
         g = self.g
-        events = self.events
+        for c in take:
+            k = self._take(c, k)
         while True:
             reduced = False
             for c in sorted(g.active_colors()):
@@ -300,7 +223,7 @@ class _FoldSearch:
                         if k == 0:
                             return False
                         k -= 1
-                        events.append(("fold", c, wa, wb))
+                        self.trail.append(("fold", c, wa, wb))
                         self._contract_pair(c, wa)
                         self._contract_pair(c, wb)
                     reduced = True
@@ -312,25 +235,14 @@ class _FoldSearch:
         if k <= 0 or g.active_edge_count() > k * k:
             return False
         c = g.max_degree_color()
-        s2 = g.snapshot()
-        mark = len(events)
-        self._take(c, k)
-        if self.decide(k - 1):
+        if self.node(k, (c,)):
             return True
-        g.restore(s2)
-        del events[mark:]
         nbrs = sorted(g.color_neighbors(c))
-        if len(nbrs) <= k:
-            for w in nbrs:
-                self._take(w, k)
-            if self.decide(k - len(nbrs)):
-                return True
-            del events[mark:]
-        return False
+        return len(nbrs) <= k and self.node(k, nbrs)
 
     def unfold(self):
         cover = set()
-        for ev in reversed(self.events):
+        for ev in reversed(self.trail):
             if ev[0] == "take":
                 cover.add(ev[1])
             else:
@@ -349,21 +261,14 @@ def solve_vc_parm(n, edges, k, repr_name="hybrid", fold=False, timeout=None,
     """Decide whether a vertex cover of size at most k exists."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if fold and repr_name != "hybrid":
-        raise ValueError("folding requires the hybrid representation")
     mode = "contraction" if fold else "plain"
     g = build_representation(repr_name, mode, n, edges, instrumented)
-    search = _FoldSearch(g, Deadline(timeout)) if fold \
-        else _ParmSearch(g, Deadline(timeout))
-    with recursion_limit(max(10_000, 4 * n + 100)):
-        t0 = time.perf_counter()
-        found = search.decide(k)
-        wall = (time.perf_counter() - t0) * 1e3
+    search = (_FoldSearch if fold else _ParmSearch)(g, timeout)
+    found, wall = timed(min(k, n) + 1, search.node, k, ())
     witness = None
     if found:
-        witness = search.unfold() if fold else sorted(search.partial)
+        witness = search.unfold() if fold else sorted(search.trail)
         if len(witness) > k or not verify_vc(n, edges, witness):
             raise RuntimeError("decision search produced an invalid cover")
-    return SolverResult("vc-parm", n, found, witness, search.nodes, wall,
-                        repr_name, size=len(witness) if witness else None,
-                        k=k, fold=fold, counters=harvest_counters(g))
+    return search.result("vc-parm", n, found, witness, wall, repr_name,
+                         k=k, fold=fold)

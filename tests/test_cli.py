@@ -102,6 +102,23 @@ def test_solve_timeout_env_var(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("seconds", ["nan", "-1"])
+def test_solve_bad_timeout_is_an_error(runner, petersen_file, seconds):
+    res = runner.invoke(
+        main, ["solve", "vc", "--input", petersen_file, "--timeout-s", seconds])
+    assert res.exit_code == 2
+    assert "timeout must be a non-negative number" in res.stderr
+
+
+def test_solve_ce_huge_budget(runner, tmp_path):
+    path = tmp_path / "p3.el"
+    path.write_text("3 2\n0 1\n1 2\n")
+    res = runner.invoke(
+        main, ["solve", "ce", "--input", str(path), "--k", "9999999999"])
+    assert res.exit_code == 0
+    assert "yes" in res.stdout
+
+
 def test_solve_counters_output(runner, petersen_file):
     res = runner.invoke(
         main, ["solve", "vc", "--input", petersen_file, "--counters"])

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from hybridgraph.solvers import (
+    Deadline,
     SolveTimeout,
     solve_ce_parm,
     solve_ds_opt,
@@ -18,7 +19,7 @@ from hybridgraph.solvers import (
     verify_vc,
 )
 
-from hybridgraph.instances import gen_random_gnm
+from hybridgraph.instances import gen_cluster_editing, gen_random_gnm
 
 from helpers import G8_EDGES, G8_N, clique, cycle, gnm, path, petersen, star
 from hybridgraph.oracle import brute_ce, brute_ds, brute_vc
@@ -231,6 +232,75 @@ def test_ce_node_counts_match_across_reprs():
             assert a.answer == b.answer
             assert a.nodes == b.nodes
             assert a.witness == b.witness
+
+
+def test_ce_huge_budget():
+    # the recursion limit follows the pairs a path can edit, not k
+    res = solve_ce_parm(3, [(0, 1), (1, 2)], k=2**40)
+    assert res.answer is True
+    assert verify_ce(3, [(0, 1), (1, 2)], res.witness, 1)
+
+
+@pytest.mark.parametrize("n", [0, 4])
+@pytest.mark.parametrize("solve", [
+    lambda n, **kw: solve_vc_opt(n, [], **kw),
+    lambda n, **kw: solve_vc_parm(n, [], 1, **kw),
+    lambda n, **kw: solve_vc_parm(n, [], 1, fold=True, **kw),
+    lambda n, **kw: solve_ds_opt(n, [], **kw),
+    lambda n, **kw: solve_ce_parm(n, [], 1, **kw),
+], ids=["vc", "vc-parm", "vc-parm-fold", "ds", "ce"])
+def test_unknown_representation_raises(solve, n):
+    with pytest.raises(ValueError, match="unknown representation"):
+        solve(n, repr_name="bogus")
+
+
+def test_empty_graph_solves():
+    for repr_name in REPRS:
+        res = solve_ds_opt(0, [], repr_name=repr_name)
+        assert (res.answer, res.nodes, res.witness) == (0, 1, [])
+        res = solve_vc_opt(0, [], repr_name=repr_name)
+        assert (res.answer, res.nodes, res.witness) == (0, 0, [])
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), -1])
+def test_bad_timeout_raises(seconds):
+    with pytest.raises(ValueError, match="timeout"):
+        Deadline(seconds)
+    with pytest.raises(ValueError, match="timeout"):
+        solve_vc_opt(*path(4), timeout=seconds)
+
+
+def _frame_runs():
+    n, edges = gnm(20, 70, 3)
+    yield "vc", 1, solve_vc_opt(n, edges, lb="matching", instrumented=True)
+    res = solve_vc_opt(n, edges, repr_name="alist", instrumented=True)
+    yield "vc", 1, res
+    for k in (res.answer, res.answer - 1):
+        yield "vc-parm", 0, solve_vc_parm(n, edges, k, instrumented=True)
+        yield "vc-parm", 0, solve_vc_parm(n, edges, k, repr_name="alist",
+                                          instrumented=True)
+        yield "vc-fold", 0, solve_vc_parm(n, edges, k, fold=True,
+                                          instrumented=True)
+    yield "vc-empty", 1, solve_vc_opt(5, [], instrumented=True)
+    n, edges = gnm(13, 24, 8)
+    for repr_name in REPRS:
+        yield "ds", 1, solve_ds_opt(n, edges, repr_name=repr_name,
+                                    instrumented=True)
+    spec, planted = gen_cluster_editing(12, 3, 5, 9)
+    for k in (planted, planted - 1):
+        for repr_name in REPRS:
+            yield "ce", 0, solve_ce_parm(spec.n, spec.edges, k,
+                                         repr_name=repr_name,
+                                         instrumented=True)
+
+
+def test_one_frame_per_node():
+    # every node takes one snapshot and restores it once; the optimizers
+    # take one more for their greedy incumbent
+    for name, extra, res in _frame_runs():
+        snaps = res.counters["snapshot"]["calls"]
+        restores = res.counters["restore"]["calls"]
+        assert snaps == restores == res.nodes + extra, (name, res.nodes, snaps)
 
 
 def test_worked_example_all_problems():
