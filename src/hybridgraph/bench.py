@@ -3,7 +3,7 @@
 A manifest is a JSON file:
 
     {
-      "defaults": {"reps": 3, "timeout_s": 600, "jobs": 1,
+      "defaults": {"reps": 3, "timeout_s": 600,
                    "reprs": ["hybrid", "alist"]},
       "runs": [
         {"problem": "ds",
@@ -16,13 +16,14 @@ A manifest is a JSON file:
       ]
     }
 
-Each run row is solved once per representation, `reps` times each,
-reporting the median wall time.  When a row covers both
-representations their answers and search-tree node counts must match
-exactly; a mismatch is recorded as a row failure.  Rows run on a
-process pool (`jobs` workers, default 1 so timings are not disturbed)
-and results keep manifest order.  Wall times cover the search call
-only, never parsing or generation.
+Each run row is solved `reps` times per representation, reporting the
+median wall time.  The representations take turns rep by rep (hybrid,
+alist, hybrid, ...), so a drift in host speed lands on both sides of
+the row's `speedup`; one that times out or errors drops out of the
+rotation.  When a row covers both representations their answers and
+search-tree node counts must match exactly; a mismatch is recorded as
+a row failure.  Rows run one after another in manifest order.  Wall
+times cover the search call only, never parsing or generation.
 
 Row keys: problem (vc | vc-parm | ds | ce), and one of generator/path;
 optional name, k (int, or "planted" with a ce generator), fold, lb,
@@ -36,7 +37,6 @@ import hashlib
 import json
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 
 from .instances import gen_cluster_editing, gen_random_gnm, read_instance
 from .solvers import (
@@ -177,7 +177,7 @@ def run_row(row, defaults, base_dir):
         rec["error"] = str(exc)
         return [rec]
 
-    records = []
+    runs = []   # (record, results) per representation
     for repr_name in reprs:
         rec = _base_record(row, cfg)
         rec["name"] = name
@@ -187,27 +187,28 @@ def run_row(row, defaults, base_dir):
             "lb": lb, "reps": reps, "timeout_s": timeout,
             "instance": spec.name,
         })
-        try:
-            results = [
-                dispatch_solve(problem, spec.n, spec.edges, repr_name,
-                               k=k, fold=fold, lb=lb, timeout=timeout)
-                for _ in range(reps)
-            ]
-        except SolveTimeout:
-            rec["status"] = "timeout"
-            rec["error"] = f"timeout after {timeout}s"
-            records.append(rec)
-            continue
-        except ValueError as exc:
-            rec["status"] = "error"
-            rec["error"] = str(exc)
-            records.append(rec)
+        runs.append((rec, []))
+    for _ in range(reps):
+        for rec, results in runs:
+            if rec["status"] != "ok":
+                continue
+            try:
+                results.append(dispatch_solve(
+                    problem, spec.n, spec.edges, rec["repr"],
+                    k=k, fold=fold, lb=lb, timeout=timeout))
+            except SolveTimeout:
+                rec["status"] = "timeout"
+                rec["error"] = f"timeout after {timeout}s"
+            except ValueError as exc:
+                rec["status"] = "error"
+                rec["error"] = str(exc)
+    for rec, results in runs:
+        if rec["status"] != "ok":
             continue
         nodes = {r.nodes for r in results}
         if len(nodes) != 1:
             rec["status"] = "error"
             rec["error"] = f"nondeterministic node counts {sorted(nodes)}"
-            records.append(rec)
             continue
         first = results[0]
         rec["answer"] = first.answer
@@ -216,12 +217,12 @@ def run_row(row, defaults, base_dir):
         rec["wall_ms"] = round(statistics.median(r.wall_ms for r in results), 3)
         if cfg.get("counters"):
             # one extra instrumented run, never timed
-            inst = dispatch_solve(problem, spec.n, spec.edges, repr_name,
+            inst = dispatch_solve(problem, spec.n, spec.edges, rec["repr"],
                                   k=k, fold=fold, lb=lb, timeout=timeout,
                                   instrumented=True)
             rec["counters"] = json.dumps(inst.counters, sort_keys=True,
                                          separators=(",", ":"))
-        records.append(rec)
+    records = [rec for rec, _ in runs]
 
     ok = [r for r in records if r["status"] == "ok"]
     if len(ok) == 2:
@@ -245,15 +246,10 @@ def run_row(row, defaults, base_dir):
     return records
 
 
-def _row_worker(args):
-    row, defaults, base_dir = args
-    return run_row(row, defaults, base_dir)
-
-
-def run_manifest(manifest, base_dir=None, jobs=None, reps=None,
-                 counters=False):
-    """Run every row.  `manifest` is a path or a parsed dict.  Returns
-    (records, all_ok); skipped optional rows do not clear all_ok."""
+def run_manifest(manifest, base_dir=None, reps=None, counters=False):
+    """Run every row in manifest order.  `manifest` is a path or a
+    parsed dict.  Returns (records, all_ok); skipped optional rows do
+    not clear all_ok."""
     if isinstance(manifest, (str, os.PathLike)):
         with open(manifest, "r", encoding="ascii") as fh:
             data = json.load(fh)
@@ -268,16 +264,8 @@ def run_manifest(manifest, base_dir=None, jobs=None, reps=None,
         defaults["reps"] = reps
     if counters:
         defaults["counters"] = True
-    rows = data.get("runs", [])
-    if jobs is None:
-        jobs = int(defaults.get("jobs", 1))
-    work = [(row, defaults, base_dir) for row in rows]
-    if jobs <= 1 or len(rows) <= 1:
-        batches = [_row_worker(w) for w in work]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_row_worker, work))
-    records = [rec for batch in batches for rec in batch]
+    records = [rec for row in data.get("runs", [])
+               for rec in run_row(row, defaults, base_dir)]
     all_ok = all(r["status"] in ("ok", "skipped") for r in records)
     return records, all_ok
 

@@ -50,8 +50,8 @@ def main():
               help="Budget for vc-parm / ce.")
 @click.option("--fold", is_flag=True,
               help="Degree-2 folding (vc-parm with --repr hybrid only).")
-@click.option("--lb", default="clique", type=click.Choice(["clique", "matching"]),
-              show_default=True, help="Lower bound used by the vc optimizer.")
+@click.option("--lb", default=None, type=click.Choice(["clique", "matching"]),
+              help="Lower bound used by the vc optimizer [default: clique].")
 @click.option("--complement", is_flag=True,
               help="Solve on the complement of a DIMACS instance.")
 @click.option("--timeout-s", type=float, default=None,
@@ -70,6 +70,9 @@ def solve(problem, input_path, repr_name, k, fold, lb, complement,
         _fail(f"{problem} does not take --k")
     if fold and problem != "vc-parm":
         _fail("--fold is only valid for vc-parm")
+    if lb is not None and problem != "vc":
+        _fail("--lb is only valid for vc")
+    lb = lb or "clique"
     try:
         spec, warnings = read_instance(input_path, complement=complement)
     except (OSError, InstanceFormatError) as exc:
@@ -125,17 +128,15 @@ def solve(problem, input_path, repr_name, k, fold, lb, complement,
               help="CSV output path ('-' for stdout).")
 @click.option("--json", "json_out", default=None,
               help="Also write the records as JSON to this path.")
-@click.option("--jobs", type=int, default=None,
-              help="Worker processes (default: manifest setting, else 1).")
 @click.option("--reps", type=int, default=None, envvar="HYBRIDGRAPH_REPS",
               help="Override repetitions per run (median is reported).")
 @click.option("--counters", is_flag=True,
               help="Add an untimed instrumented run per row.")
-def bench(manifest, out, json_out, jobs, reps, counters):
+def bench(manifest, out, json_out, reps, counters):
     """Run a benchmark manifest and write a CSV report."""
     try:
         records, all_ok = benchmod.run_manifest(
-            manifest, jobs=jobs, reps=reps, counters=counters)
+            manifest, reps=reps, counters=counters)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _fail(exc)
     if out == "-":

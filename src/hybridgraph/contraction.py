@@ -1,8 +1,13 @@
 """Contraction mode: the graph is viewed as a quotient over color sets.
 
 Every vertex carries a color (frame-local ``vcolor``); initially color
-ids equal vertex ids and every color is a singleton.  ``vlist`` /
-``idxlist`` track *active colors* in this mode, and the frame holds two
+ids equal vertex ids and every color is a singleton.  The public vertex
+API means the quotient graph, whose vertices are the active colors:
+``active_vertices``, ``degree``, ``neighbors``, ``is_adjacent``,
+``max_degree_vertex``, ``active_edge_count`` and ``delete_vertex`` all
+take and return colors, so a search written against the vertex API
+runs here unchanged and ``contract`` is one more edit it can make.
+``vlist`` / ``idxlist`` track the active colors, and the frame holds two
 more vectors: ``cc[c]`` (member count of color c, 0 exactly for retired
 colors) and ``cd[c]`` (number of distinct active colors adjacent to c).
 The global table ``csl[c]`` lists c's members in its first ``cc[c]``
@@ -20,9 +25,9 @@ Undo is unchanged: all color vectors are frame-local, ``csl`` appends
 land past the restored ``cc`` prefix, so ``restore()`` is still one
 frame copy.
 
-Vertex-level deletion is not available here (it would bypass the color
-bookkeeping); use ``delete_color``.  Member-level ``delete_edge`` works
-and keeps ``cd`` in step.
+Only ``delete_edge`` stays member-level: it takes the endpoints of a
+live member edge and keeps ``cd`` in step.  Member-level queries go
+through the base class (``HybridGraph.neighbors(g, x)``) or the frame.
 """
 
 from .core import HybridGraph
@@ -45,10 +50,7 @@ class ContractionGraph(HybridGraph):
         self._stamp = [0] * n
         self._gen = 0
 
-    # -- color queries ------------------------------------------------
-
-    def active_colors(self):
-        return self.vlist[: self.frame.n_c]
+    # -- colors -------------------------------------------------------
 
     def color_members(self, c):
         return self.csl[c][: self.frame.cc[c]]
@@ -56,13 +58,15 @@ class ContractionGraph(HybridGraph):
     def color_size(self, c):
         return self.frame.cc[c]
 
-    def color_degree(self, c):
-        return self.frame.cd[c]
-
     def color_of(self, v):
         return self.frame.vcolor[v]
 
-    def color_neighbors(self, c):
+    # -- quotient queries ---------------------------------------------
+
+    def degree(self, c):
+        return self.frame.cd[c]
+
+    def neighbors(self, c):
         """Active colors adjacent to c; distinct by the one-edge invariant."""
         f = self.frame
         vc = f.vcolor
@@ -77,7 +81,7 @@ class ContractionGraph(HybridGraph):
                 out.append(vc[row[j]])
         return out
 
-    def colors_adjacent(self, ca, cb):
+    def is_adjacent(self, ca, cb):
         """Whether active colors ca and cb share a member edge."""
         f = self.frame
         if f.cd[ca] > f.cd[cb]:
@@ -94,24 +98,14 @@ class ContractionGraph(HybridGraph):
                     return True
         return False
 
-    def max_degree_color(self):
+    def max_degree_vertex(self):
         """Active color of maximum color degree, lowest id on ties."""
-        f = self.frame
-        if f.n_c == 0:
-            return None
-        cd = f.cd
-        best = self.vlist[0]
-        best_d = cd[best]
-        for c in self.vlist[1 : f.n_c]:
-            d = cd[c]
-            if d > best_d or (d == best_d and c < best):
-                best = c
-                best_d = d
-        return best
+        return self._max_degree(self.frame.cd)
 
     def active_edge_count(self):
-        """Live member edges.  The inherited count would miss edges held
-        by absorbed members, so sum color degrees instead."""
+        """Quotient edges, which by the one-edge invariant are the live
+        member edges.  The inherited member-degree sum would miss edges
+        held by absorbed members."""
         f = self.frame
         cd = f.cd
         return sum(cd[c] for c in self.vlist[: f.n_c]) // 2
@@ -127,9 +121,6 @@ class ContractionGraph(HybridGraph):
         f.cd[cu] -= 1
         f.cd[cv] -= 1
 
-    def delete_vertex(self, v):
-        raise NotImplementedError("contraction mode tracks colors; use delete_color")
-
     def _retire_color(self, c):
         f = self.frame
         vlist = self.vlist
@@ -143,11 +134,11 @@ class ContractionGraph(HybridGraph):
         idxlist[c] = last
         f.n_c = last
 
-    def contract(self, u, v):
-        """Merge v's color into u's color; the pair's colors must be
-        distinct, active, and adjacent.  Returns the number of member
-        edges deleted (the connector plus one per common neighbor
-        color), so callers can track the live edge count.
+    def contract(self, cu, cv):
+        """Merge color cv into color cu; the two must be distinct,
+        active, and adjacent.  Returns the number of member edges
+        deleted (the connector plus one per common neighbor color), so
+        callers can track the live edge count.
         """
         f = self.frame
         vc = f.vcolor
@@ -156,9 +147,7 @@ class ContractionGraph(HybridGraph):
         al = self.al
         deg = f.deg
         idxlist = self.idxlist
-        cu = vc[u]
-        cv = vc[v]
-        assert cu != cv, f"contract({u},{v}): same color {cu}"
+        assert cu != cv, f"contract({cu},{cv}): same color"
         assert idxlist[cu] < f.n_c and idxlist[cv] < f.n_c, "inactive color"
         # mark every color currently adjacent to the surviving side
         self._gen += 1
@@ -209,7 +198,7 @@ class ContractionGraph(HybridGraph):
         self._retire_color(cv)
         return deleted
 
-    def delete_color(self, c):
+    def delete_vertex(self, c):
         """Remove color c and all member edges; costs O(cd(c) + cc(c)).
 
         As in ``HybridGraph.delete_vertex``, each member's edges leave
@@ -217,7 +206,7 @@ class ContractionGraph(HybridGraph):
         changes and the member's degree drops to 0 once.
         """
         f = self.frame
-        assert self.idxlist[c] < f.n_c, f"delete_color on inactive color {c}"
+        assert self.idxlist[c] < f.n_c, f"delete_vertex on inactive color {c}"
         vc = f.vcolor
         cd = f.cd
         al = self.al

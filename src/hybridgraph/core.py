@@ -158,13 +158,15 @@ class HybridGraph:
 
     def max_degree_vertex(self):
         """Active vertex of maximum degree, lowest id on ties, or None."""
-        f = self.frame
-        if f.n_c == 0:
+        return self._max_degree(self.frame.deg)
+
+    def _max_degree(self, deg):
+        n_c = self.frame.n_c
+        if n_c == 0:
             return None
-        deg = f.deg
         best = self.vlist[0]
         best_d = deg[best]
-        for v in self.vlist[1 : f.n_c]:
+        for v in self.vlist[1:n_c]:
             d = deg[v]
             if d > best_d or (d == best_d and v < best):
                 best = v

@@ -7,13 +7,14 @@ bound greedily partitions the active vertices into cliques (a cover
 misses at most one vertex per clique); ``lb="matching"`` uses a greedy
 maximal matching together with edges-over-max-degree.
 
-``solve_vc_parm`` decides whether a cover of size k exists.  Without
-folding it adds the high-degree rule (degree > k forces the vertex)
-and the m > k^2 kernel cutoff.  With ``fold=True`` it runs on the
-color-contraction structure: degree-2 vertices with non-adjacent
-neighbors are folded into a single color for a budget of one, and the
-witness is rebuilt afterward by replaying the take/fold event log
-backward.
+``solve_vc_parm`` decides whether a cover of size k exists.  It adds
+the high-degree rule (degree > k forces the vertex) and the m > k^2
+kernel cutoff.  With ``fold=True`` the same search runs on the
+contraction structure, whose vertex API answers over colors, and the
+reduction loop gains the degree-2 rules: a vertex whose two neighbors
+are adjacent sends both into the cover, otherwise the three are folded
+into one color for a budget of one.  The trail holds taken vertices and
+folds; one backward replay turns it into the witness.
 
 Every decision is made in canonical order (lowest id wins ties), so
 node counts are identical across representations.
@@ -31,39 +32,63 @@ def _delete(g, trail, take, drop):
         g.delete_vertex(v)
 
 
-def _reduce_degree01(g, trail, budget=None):
-    """Apply degree-0/1 reductions (and the high-degree rule when a
-    budget is given) until none fires.  Returns the remaining budget,
-    or None if the budget went negative."""
-    k = budget
+def _reduce(g, trail, k=None, fold=False):
+    """Apply the reduction rules until none fires: degree 0 (delete),
+    degree 1 (take the neighbor), and with a budget ``k`` degree > k
+    (take the vertex).  ``fold`` adds the degree-2 rules: take both
+    neighbors of a triangle, or else contract the vertex and its two
+    neighbors into one color for a budget of one, logging the fold on
+    the trail for ``_unfold``.  Returns the remaining budget, or None if
+    it ran out."""
     while True:
-        reduced = False
         for v in sorted(g.active_vertices()):
             d = g.degree(v)
             if d == 0:
                 g.delete_vertex(v)
-                reduced = True
-            elif d == 1:
-                if k is not None:
-                    if k == 0:
-                        return None
-                    k -= 1
-                w = g.neighbors(v)[0]
-                trail.append(w)
-                g.delete_vertex(w)
-                g.delete_vertex(v)
-                reduced = True
-                break
+                continue
+            if d == 1:
+                take, drop = g.neighbors(v), (v,)
             elif k is not None and d > k:
-                if k == 0:
+                take, drop = (v,), ()
+            elif fold and d == 2:   # d <= k, so k >= 2 here
+                wa, wb = sorted(g.neighbors(v))
+                if not g.is_adjacent(wa, wb):
+                    k -= 1
+                    trail.append((v, wa, wb))
+                    g.contract(v, wa)
+                    g.contract(v, wb)
+                    break
+                # triangle: some optimal cover takes both neighbors
+                take, drop = (wa, wb), (v,)
+            else:
+                continue
+            if k is not None:
+                if k < len(take):
                     return None
-                k -= 1
-                trail.append(v)
-                g.delete_vertex(v)
-                reduced = True
-                break
-        if not reduced:
+                k -= len(take)
+            _delete(g, trail, take, drop)
+            break
+        else:
             return k
+
+
+def _unfold(trail):
+    """The cover a decision trail stands for.  Replayed backward, a
+    fold (center, na, nb) puts both neighbors into the cover if the
+    folded color was taken, and the center otherwise; every other
+    entry is a taken vertex."""
+    cover = set()
+    for t in reversed(trail):
+        if type(t) is tuple:
+            c, wa, wb = t
+            if c in cover:
+                cover.remove(c)
+                cover.update((wa, wb))
+            else:
+                cover.add(c)
+        else:
+            cover.add(t)
+    return sorted(cover)
 
 
 class _OptSearch(Search):
@@ -124,7 +149,7 @@ class _OptSearch(Search):
         g = self.g
         trail = self.trail
         _delete(g, trail, take, drop)
-        _reduce_degree01(g, trail)
+        _reduce(g, trail)
         if g.active_edge_count() == 0:
             if len(trail) < len(self.best):
                 self.best = list(trail)
@@ -150,10 +175,14 @@ def solve_vc_opt(n, edges, repr_name="hybrid", lb="clique", timeout=None,
 
 
 class _ParmSearch(Search):
+    def __init__(self, g, timeout, fold):
+        super().__init__(g, timeout)
+        self.fold = fold
+
     def expand(self, k, take, drop=()):
         g = self.g
         _delete(g, self.trail, take, drop)
-        k = _reduce_degree01(g, self.trail, k - len(take))
+        k = _reduce(g, self.trail, k - len(take), self.fold)
         if k is None:
             return False
         m = g.active_edge_count()
@@ -168,94 +197,6 @@ class _ParmSearch(Search):
         return len(nbrs) <= k and self.node(k, nbrs, (v,))
 
 
-class _FoldSearch(Search):
-    """Decision search over the contraction structure.  The trail
-    carries ("take", color) and ("fold", center, na, nb) events; a
-    backward replay turns the surviving trail into a vertex witness."""
-
-    def _take(self, c, k):
-        self.trail.append(("take", c))
-        self.g.delete_color(c)
-        return k - 1
-
-    def _contract_pair(self, c, w):
-        g = self.g
-        for x in g.color_members(c):
-            for y in g.neighbors(x):
-                if g.color_of(y) == w:
-                    g.contract(x, y)
-                    return
-        raise AssertionError(f"adjacent colors {c},{w} share no live edge")
-
-    def expand(self, k, take):
-        g = self.g
-        for c in take:
-            k = self._take(c, k)
-        while True:
-            reduced = False
-            for c in sorted(g.active_colors()):
-                d = g.color_degree(c)
-                if d == 0:
-                    g.delete_color(c)
-                    reduced = True
-                elif d == 1:
-                    if k == 0:
-                        return False
-                    k = self._take(g.color_neighbors(c)[0], k)
-                    reduced = True
-                    break
-                elif d > k:
-                    if k == 0:
-                        return False
-                    k = self._take(c, k)
-                    reduced = True
-                    break
-                elif d == 2:
-                    wa, wb = sorted(g.color_neighbors(c))
-                    if g.colors_adjacent(wa, wb):
-                        # triangle: some optimal cover takes both neighbors
-                        if k < 2:
-                            return False
-                        k = self._take(wa, k)
-                        k = self._take(wb, k)
-                    else:
-                        # fold all three into the center color for one unit
-                        if k == 0:
-                            return False
-                        k -= 1
-                        self.trail.append(("fold", c, wa, wb))
-                        self._contract_pair(c, wa)
-                        self._contract_pair(c, wb)
-                    reduced = True
-                    break
-            if not reduced:
-                break
-        if g.active_count() == 0:
-            return True
-        if k <= 0 or g.active_edge_count() > k * k:
-            return False
-        c = g.max_degree_color()
-        if self.node(k, (c,)):
-            return True
-        nbrs = sorted(g.color_neighbors(c))
-        return len(nbrs) <= k and self.node(k, nbrs)
-
-    def unfold(self):
-        cover = set()
-        for ev in reversed(self.trail):
-            if ev[0] == "take":
-                cover.add(ev[1])
-            else:
-                _, c, wa, wb = ev
-                if c in cover:
-                    cover.discard(c)
-                    cover.add(wa)
-                    cover.add(wb)
-                else:
-                    cover.add(c)
-        return sorted(cover)
-
-
 def solve_vc_parm(n, edges, k, repr_name="hybrid", fold=False, timeout=None,
                   instrumented=False):
     """Decide whether a vertex cover of size at most k exists."""
@@ -263,11 +204,11 @@ def solve_vc_parm(n, edges, k, repr_name="hybrid", fold=False, timeout=None,
         raise ValueError("k must be non-negative")
     mode = "contraction" if fold else "plain"
     g = build_representation(repr_name, mode, n, edges, instrumented)
-    search = (_FoldSearch if fold else _ParmSearch)(g, timeout)
+    search = _ParmSearch(g, timeout, fold)
     found, wall = timed(min(k, n) + 1, search.node, k, ())
     witness = None
     if found:
-        witness = search.unfold() if fold else sorted(search.trail)
+        witness = _unfold(search.trail)
         if len(witness) > k or not verify_vc(n, edges, witness):
             raise RuntimeError("decision search produced an invalid cover")
     return search.result("vc-parm", n, found, witness, wall, repr_name,

@@ -114,14 +114,14 @@ def _same_subgraph(g, mir, rng):
 
 
 def _same_quotient(g, mir):
-    if set(g.active_colors()) != mir.colors():
+    if set(g.active_vertices()) != mir.colors():
         return False
     for c in mir.colors():
         if set(g.color_members(c)) != mir.members[c]:
             return False
-        if g.color_degree(c) != mir.degree(c):
+        if g.degree(c) != mir.degree(c):
             return False
-        if set(g.color_neighbors(c)) != mir.neighbor_colors(c):
+        if set(g.neighbors(c)) != mir.neighbor_colors(c):
             return False
     return g.active_edge_count() == len(mir.qedges)
 
@@ -217,7 +217,7 @@ def _contraction_trials(count, rng):
                 if not live:
                     break
                 c = rng.choice(live)
-                g.delete_color(c)
+                g.delete_vertex(c)
                 mir.delete_color(c)
             else:
                 for _ in range(8):
@@ -225,7 +225,7 @@ def _contraction_trials(count, rng):
                     cu = next((c for c, s in mir.members.items() if u in s), None)
                     cv = next((c for c, s in mir.members.items() if v in s), None)
                     if cu is not None and cv is not None and cu != cv:
-                        g.contract(u, v)
+                        g.contract(cu, cv)
                         mir.contract(cu, cv)
                         break
         g.restore(snap)

@@ -7,9 +7,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from hybridgraph import bench as benchmod
 from hybridgraph.bench import run_manifest, write_csv
 from hybridgraph.cli import main
 from hybridgraph.instances import gen_random_gnm, write_edge_list
+from hybridgraph.solvers import SolveTimeout, SolverResult
 
 
 @pytest.fixture
@@ -71,6 +73,15 @@ def test_solve_flag_validation(runner, petersen_file):
         main, ["solve", "vc-parm", "--input", petersen_file, "--k", "6",
                "--fold", "--repr", "alist"])
     assert fold_alist.exit_code == 2
+    for problem, extra in (("ds", []), ("vc-parm", ["--k", "6"]),
+                           ("ce", ["--k", "3"])):
+        bad_lb = runner.invoke(main, ["solve", problem, "--input", petersen_file,
+                                      "--lb", "matching", *extra])
+        assert bad_lb.exit_code == 2
+        assert "--lb" in bad_lb.stderr
+    vc_lb = runner.invoke(main, ["solve", "vc", "--input", petersen_file,
+                                 "--lb", "matching"])
+    assert vc_lb.exit_code == 0 and "size 6" in vc_lb.stdout
 
 
 def test_solve_missing_and_malformed_files(runner, tmp_path):
@@ -136,7 +147,7 @@ def test_solve_fold_counters_output(runner, tmp_path):
                                "--k", "5", "--fold", "--counters"])
     assert res.exit_code == 0
     ops = {line.split(":")[0].strip() for line in res.stdout.splitlines()[1:]}
-    assert {"contract", "delete_color", "snapshot", "restore"} <= ops
+    assert {"contract", "delete_vertex", "snapshot", "restore"} <= ops
 
 
 def test_solve_dimacs_with_warning(runner, tmp_path):
@@ -186,13 +197,15 @@ def _manifest(tmp_path, rows, defaults=None):
 
 def test_bench_pairs_and_speedup(tmp_path):
     path = _manifest(tmp_path, [
-        {"problem": "ds", "generator": {"kind": "gnm", "n": 30, "m": 70, "seed": 1}},
-        {"problem": "ce", "k": "planted",
+        {"name": "row0", "problem": "ds",
+         "generator": {"kind": "gnm", "n": 30, "m": 70, "seed": 1}},
+        {"name": "row1", "problem": "ce", "k": "planted",
          "generator": {"kind": "ce", "n": 18, "clusters": 3, "flips": 4, "seed": 2}},
     ])
     records, all_ok = run_manifest(path)
     assert all_ok
     assert len(records) == 4
+    assert [r["name"] for r in records] == ["row0", "row0", "row1", "row1"]
     assert [r["repr"] for r in records] == ["hybrid", "alist"] * 2
     for hy, al in zip(records[::2], records[1::2]):
         assert hy["nodes"] == al["nodes"]
@@ -242,17 +255,29 @@ def test_bench_counters_column(tmp_path):
     assert counters["delete_vertex"]["writes"] > 0
 
 
-def test_bench_parallel_keeps_manifest_order(tmp_path):
-    rows = [
-        {"name": f"row{i}", "problem": "ds",
-         "generator": {"kind": "gnm", "n": 14, "m": 25, "seed": i}}
-        for i in range(4)
-    ]
-    path = _manifest(tmp_path, rows, defaults={"reps": 1, "timeout_s": 60})
-    records, all_ok = run_manifest(path, jobs=3)
-    assert all_ok
-    assert [r["name"] for r in records] == [
-        f"row{i}" for i in range(4) for _ in range(2)]
+def test_bench_alternates_representations(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_solve(problem, n, edges, repr_name, timeout=None, **kw):
+        calls.append((problem, repr_name))
+        if calls.count(("vc", "alist")) == 2 and repr_name == "alist":
+            raise SolveTimeout
+        return SolverResult(problem, n, 2, [0, 1], 5, 1.0, repr_name, size=2)
+
+    monkeypatch.setattr(benchmod, "dispatch_solve", fake_solve)
+    gen = {"kind": "gnm", "n": 8, "m": 10, "seed": 1}
+    path = _manifest(tmp_path, [{"problem": "ds", "generator": gen},
+                                {"problem": "vc", "generator": gen}],
+                     defaults={"reps": 3, "timeout_s": 5})
+    records, all_ok = run_manifest(path)
+    assert calls[:6] == [("ds", "hybrid"), ("ds", "alist")] * 3
+    # alist times out on its second vc rep and drops out; hybrid goes on
+    assert calls[6:] == [("vc", "hybrid"), ("vc", "alist")] * 2 + [("vc", "hybrid")]
+    assert [(r["repr"], r["status"]) for r in records] == [
+        ("hybrid", "ok"), ("alist", "ok"), ("hybrid", "ok"), ("alist", "timeout")]
+    assert records[2]["nodes"] == 5 and records[2]["speedup"] == ""
+    assert records[3]["error"] == "timeout after 5s"
+    assert not all_ok
 
 
 def test_bench_csv_round_trip(tmp_path):

@@ -1,36 +1,38 @@
 """Contraction mode: worked merge sequence, simple-quotient invariant,
 randomized trials against an independent quotient-graph mirror."""
 
+import functools
 import random
 
 import pytest
 
 from hybridgraph.contraction import ContractionGraph
+from hybridgraph.core import HybridGraph
 
 from helpers import G8_EDGES, G8_N, gnm
 from mirrors import QuotientMirror
 
 
 def check_quotient(g, mirror):
-    assert set(g.active_colors()) == set(mirror.members)
+    assert set(g.active_vertices()) == set(mirror.members)
     for c in mirror.members:
         assert set(g.color_members(c)) == mirror.members[c]
         assert g.color_size(c) == len(mirror.members[c])
-        assert g.color_degree(c) == mirror.degree(c)
-        assert set(g.color_neighbors(c)) == mirror.neighbor_colors(c)
+        assert g.degree(c) == mirror.degree(c)
+        assert set(g.neighbors(c)) == mirror.neighbor_colors(c)
         for x in mirror.members[c]:
             assert g.color_of(x) == c
     cols = sorted(mirror.members)
     for i, a in enumerate(cols):
         for b in cols[i + 1 :]:
             expected = mirror.adjacent(a, b)
-            assert g.colors_adjacent(a, b) == expected
-            assert g.colors_adjacent(b, a) == expected
+            assert g.is_adjacent(a, b) == expected
+            assert g.is_adjacent(b, a) == expected
     # live member edges: at most one between any two colors, none inside
     seen = set()
     for c in mirror.members:
         for x in g.color_members(c):
-            for y in g.neighbors(x):
+            for y in HybridGraph.neighbors(g, x):
                 cx, cy = g.color_of(x), g.color_of(y)
                 assert cx != cy
                 if x < y:
@@ -43,10 +45,10 @@ def check_quotient(g, mirror):
 
 def test_initial_state_is_discrete_partition():
     g = ContractionGraph(G8_N, G8_EDGES)
-    assert sorted(g.active_colors()) == list(range(8))
+    assert sorted(g.active_vertices()) == list(range(8))
     for v in range(8):
         assert g.color_members(v) == [v]
-        assert g.color_degree(v) == g.degree(v)
+        assert g.degree(v) == HybridGraph.degree(g, v)
         assert g.color_of(v) == v
 
 
@@ -56,22 +58,41 @@ def test_worked_contraction_sequence():
     assert deleted == 1  # just the connector, no common neighbors
     assert g.color_of(6) == 3
     assert g.color_size(3) == 2
-    assert g.color_degree(3) == 4
+    assert g.degree(3) == 4
     assert set(g.color_members(3)) == {3, 6}
-    assert set(g.color_neighbors(3)) == {0, 2, 5, 7}
+    assert set(g.neighbors(3)) == {0, 2, 5, 7}
 
     deleted = g.contract(5, 7)
     assert deleted == 3  # connector + one duplicate per common color (4, 3)
-    assert set(g.color_neighbors(3)) == {0, 2, 5}
-    assert g.color_degree(3) == 3
-    assert set(g.color_neighbors(5)) == {2, 3, 4}
+    assert set(g.neighbors(3)) == {0, 2, 5}
+    assert g.degree(3) == 3
+    assert set(g.neighbors(5)) == {2, 3, 4}
 
     deleted = g.contract(2, 5)
     assert deleted == 2  # connector plus the duplicate toward color 3
     assert g.color_of(5) == 2 and g.color_of(7) == 2
     assert g.color_size(2) == 3
-    assert set(g.color_neighbors(2)) == {0, 1, 3, 4}
-    assert g.color_degree(2) == 4
+    assert set(g.neighbors(2)) == {0, 1, 3, 4}
+    assert g.degree(2) == 4
+
+
+def test_vertex_api_answers_over_colors():
+    # after the merge, color 1 = {1, 2} has neighbor colors 0, 3 and 4,
+    # while member 1 alone has degree 1 and vertex 0 the top member degree
+    g = ContractionGraph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (0, 5), (5, 3)])
+    g.contract(1, 2)
+    assert sorted(g.active_vertices()) == [0, 1, 3, 4, 5]
+    assert g.degree(1) == 3
+    assert sorted(g.neighbors(1)) == [0, 3, 4]
+    assert g.max_degree_vertex() == 1
+    assert g.is_adjacent(1, 3) and g.is_adjacent(4, 1)
+    assert not g.is_adjacent(1, 5) and not g.is_adjacent(3, 4)
+    g.delete_vertex(1)  # removes both members and their edges
+    assert sorted(g.active_vertices()) == [0, 3, 4, 5]
+    assert [g.degree(c) for c in (0, 3, 4, 5)] == [1, 1, 0, 2]
+    assert sorted(g.neighbors(5)) == [0, 3]
+    assert g.active_edge_count() == 2
+    assert g.max_degree_vertex() == 5
 
 
 def test_contract_requires_adjacent_distinct_colors():
@@ -87,19 +108,19 @@ def test_delete_color_removes_all_member_edges():
     g = ContractionGraph(G8_N, G8_EDGES)
     g.contract(2, 5)
     before = g.active_edge_count()
-    d = g.color_degree(2)
-    g.delete_color(2)
-    assert 2 not in g.active_colors()
+    d = g.degree(2)
+    g.delete_vertex(2)
+    assert 2 not in g.active_vertices()
     assert g.active_edge_count() == before - d
-    for c in g.active_colors():
-        assert 2 not in g.color_neighbors(c)
+    for c in g.active_vertices():
+        assert 2 not in g.neighbors(c)
 
 
 def test_two_vertex_collapse():
     g = ContractionGraph(2, [(0, 1)])
     assert g.contract(0, 1) == 1
-    assert g.active_colors() == [0]
-    assert g.color_degree(0) == 0
+    assert g.active_vertices() == [0]
+    assert g.degree(0) == 0
     assert g.active_edge_count() == 0
 
 
@@ -108,11 +129,11 @@ def test_snapshot_restores_colors_and_degrees():
     g.contract(3, 6)
     snap = g.snapshot()
     g.contract(5, 7)
-    g.delete_color(2)
+    g.delete_vertex(2)
     g.restore(snap)
-    assert set(g.active_colors()) == {0, 1, 2, 3, 4, 5, 7}
-    assert set(g.color_neighbors(3)) == {0, 2, 5, 7}
-    assert g.color_degree(3) == 4
+    assert set(g.active_vertices()) == {0, 1, 2, 3, 4, 5, 7}
+    assert set(g.neighbors(3)) == {0, 2, 5, 7}
+    assert g.degree(3) == 4
     assert g.color_of(7) == 7
     # member lists grow monotonically; stale tail entries are masked by cc
     assert g.csl[3][:2] == [3, 6]
@@ -146,21 +167,19 @@ def test_randomized_against_quotient_mirror():
                 check_quotient(g, mirror)
             elif op == "contract":
                 a, b = rng.choice(sorted(tuple(sorted(e)) for e in mirror.qedges))
-                # pick live member endpoints of the connecting edge
-                u = next(x for x in g.color_members(a)
-                         if any(g.color_of(y) == b for y in g.neighbors(x)))
-                v = next(y for y in g.neighbors(u) if g.color_of(y) == b)
-                g.contract(u, v)
+                g.contract(a, b)
                 mirror.contract(a, b)
             elif op == "delete_color":
                 c = rng.choice(sorted(mirror.members))
-                g.delete_color(c)
+                g.delete_vertex(c)
                 mirror.delete_color(c)
             else:
                 a, b = rng.choice(sorted(tuple(sorted(e)) for e in mirror.qedges))
+                # pick live member endpoints of the connecting edge
+                nbrs = functools.partial(HybridGraph.neighbors, g)
                 u = next(x for x in g.color_members(a)
-                         if any(g.color_of(y) == b for y in g.neighbors(x)))
-                v = next(y for y in g.neighbors(u) if g.color_of(y) == b)
+                         if any(g.color_of(y) == b for y in nbrs(x)))
+                v = next(y for y in nbrs(u) if g.color_of(y) == b)
                 g.delete_edge(u, v)
                 mirror.delete_edge(a, b)
         check_quotient(g, mirror)

@@ -102,16 +102,17 @@ def _tables(g):
 def _random_op(rng, g, mode, edited):
     """One op valid on g in `mode`, as (name, args)."""
     r = rng.random()
-    live = sorted((v, w) for v in g.active_vertices() for w in g.neighbors(v)
+    # delete_edge takes member endpoints, also in contraction mode
+    nbrs = HybridGraph.neighbors if mode == "contraction" else type(g).neighbors
+    live = sorted((v, w) for v in g.active_vertices() for w in nbrs(g, v)
                   if v < w and (v, w) not in edited)
     if mode == "contraction":
-        colors = [c for c in g.active_colors() if g.color_degree(c)]
+        colors = [c for c in g.active_vertices() if g.degree(c)]
         if r < 0.3 and colors:
             c = rng.choice(colors)
-            a = next(m for m in g.color_members(c) if g.degree(m))
-            return "contract", (a, g.neighbors(a)[0])
+            return "contract", (c, g.neighbors(c)[0])
         if r < 0.45 and g.active_count():
-            return "delete_color", (rng.choice(g.active_colors()),)
+            return "delete_vertex", (rng.choice(g.active_vertices()),)
     elif r < 0.3 and mode in ("addition", "alist"):
         us = sorted(g.active_vertices())
         pairs = [(u, v) for i, u in enumerate(us) for v in us[i + 1:]
@@ -244,9 +245,9 @@ def test_contraction_ops_counted():
     plain = solve_vc_parm(n, edges, 9, fold=True)
     assert (res.answer, res.nodes) == (plain.answer, plain.nodes)
     assert res.counters["contract"]["calls"] > 0
-    assert res.counters["delete_color"]["calls"] > 0
+    assert res.counters["delete_vertex"]["calls"] > 0
 
-    # delete_color is linear in cc(c) + cd(c); contract in the sizes and
+    # delete_vertex is linear in cc(c) + cd(c); contract in the sizes and
     # color degrees of both sides plus r, the colors adjacent to both
     rng = random.Random(7)
     g = counting(ContractionGraph)(n, edges)
@@ -255,21 +256,19 @@ def test_contraction_ops_counted():
     assert g.counters.accesses("snapshot") == 2 * (4 * n)
     checked = 0
     while g.active_edge_count():
-        c = rng.choice([c for c in g.active_colors() if g.color_degree(c)])
+        c = rng.choice([c for c in g.active_vertices() if g.degree(c)])
         c0 = g.counters.as_dict()
         if rng.random() < 0.3:
             cc, cd = f.cc[c], f.cd[c]
-            g.delete_color(c)
-            want = {"delete_color": (3 + 2 * cc + 6 * cd + (1 + cd) * __debug__,
+            g.delete_vertex(c)
+            want = {"delete_vertex": (3 + 2 * cc + 6 * cd + (1 + cd) * __debug__,
                                      6 + cc + 6 * cd)}
         else:
-            a = next(m for m in g.color_members(c) if g.degree(m))
-            x = g.neighbors(a)[0]
-            cv = f.vcolor[x]
+            cv = g.neighbors(c)[0]
             su, sv, du, dv = f.cc[c], f.cc[cv], f.cd[c], f.cd[cv]
-            r = len(set(g.color_neighbors(c)) & set(g.color_neighbors(cv)))
-            g.contract(a, x)
-            want = {"contract": (16 + 2 * (su + du) + 3 * sv + 2 * dv + 7 * r
+            r = len(set(g.neighbors(c)) & set(g.neighbors(cv)))
+            g.contract(c, cv)
+            want = {"contract": (14 + 2 * (su + du) + 3 * sv + 2 * dv + 7 * r
                                  + (4 + 2 * r) * __debug__,
                                  18 + 2 * sv + 11 * r)}
         for op, (reads, writes) in want.items():

@@ -1,6 +1,6 @@
 """One-sided vertex and color deletion against the per-edge reference.
 
-``HybridGraph.delete_vertex`` and ``ContractionGraph.delete_color``
+``HybridGraph.delete_vertex`` and ``ContractionGraph.delete_vertex``
 update only the far endpoint's row per edge.  The reference bodies
 below are the per-edge formulation they replace: one full two-sided
 ``HybridGraph.delete_edge`` per live edge, taken from the top of the
@@ -121,12 +121,12 @@ def test_delete_vertex_matches_per_edge_reference(cls):
 
 def _member_edge(g, rng):
     """Members (u, v) of two distinct adjacent active colors, or None."""
-    cs = [c for c in g.active_colors() if g.color_degree(c)]
+    cs = [c for c in g.active_vertices() if g.degree(c)]
     if not cs:
         return None
     c = rng.choice(sorted(cs))
-    u = next(x for x in g.color_members(c) if g.degree(x))
-    return u, rng.choice(sorted(g.neighbors(u)))
+    u = next(x for x in g.color_members(c) if g.frame.deg[x])
+    return u, rng.choice(sorted(HybridGraph.neighbors(g, u)))
 
 
 def test_delete_color_matches_per_edge_reference():
@@ -148,13 +148,14 @@ def test_delete_color_matches_per_edge_reference():
                 new.restore(sn)
                 ref.restore(sr)
             elif r < 0.55 and (e := _member_edge(new, rng)):
-                new.contract(*e)
-                ref.contract(*e)
+                cu, cv = map(new.color_of, e)
+                new.contract(cu, cv)
+                ref.contract(cu, cv)
             elif r < 0.7 and (e := _member_edge(new, rng)):
                 new.delete_edge(*e)
                 ref.delete_edge(*e)
             elif new.active_count():
-                c = rng.choice(sorted(new.active_colors()))
-                new.delete_color(c)
+                c = rng.choice(sorted(new.active_vertices()))
+                new.delete_vertex(c)
                 ref_delete_color(ref, c)
             assert_same(new, ref)
