@@ -26,10 +26,12 @@ a row failure.  Rows run one after another in manifest order.  Wall
 times cover the search call only, never parsing or generation.
 
 Row keys: problem (vc | vc-parm | ds | ce), and one of generator/path;
-optional name, k (int, or "planted" with a ce generator), fold, lb,
+optional name, k (int, or "planted" with a ce generator), fold,
 reprs, reps, timeout_s, complement, optional (skip silently when the
 path is missing: used for large instance files that are fetched
-separately).
+separately), counters.  ``defaults`` takes the same keys.  Before any
+row runs, the manifest is rejected with a ValueError naming the key if
+``defaults`` or a row holds any other key, or a ``reps`` below 1.
 """
 
 import csv
@@ -48,6 +50,11 @@ from .solvers import (
 )
 
 PROBLEMS = ("vc", "vc-parm", "ds", "ce")
+
+KEYS = frozenset((
+    "problem", "generator", "path", "name", "k", "fold", "reprs", "reps",
+    "timeout_s", "complement", "optional", "counters",
+))
 
 # BenchRecord CSV column order
 FIELDS = (
@@ -70,10 +77,10 @@ FIELDS = (
 
 
 def dispatch_solve(problem, n, edges, repr_name, k=None, fold=False,
-                   lb="clique", timeout=None, instrumented=False):
+                   timeout=None, instrumented=False):
     """Route one (problem, graph, config) to its solver."""
     if problem == "vc":
-        return solve_vc_opt(n, edges, repr_name=repr_name, lb=lb,
+        return solve_vc_opt(n, edges, repr_name=repr_name,
                             timeout=timeout, instrumented=instrumented)
     if problem == "vc-parm":
         if k is None:
@@ -169,7 +176,6 @@ def run_row(row, defaults, base_dir):
         reps = int(cfg.get("reps", 3))
         timeout = cfg.get("timeout_s")
         fold = bool(cfg.get("fold", False))
-        lb = cfg.get("lb", "clique")
         name = row.get("name") or spec.name
     except (ValueError, OSError, KeyError) as exc:
         rec = _base_record(row, cfg)
@@ -184,7 +190,7 @@ def run_row(row, defaults, base_dir):
         rec["repr"] = repr_name
         rec["config_hash"] = config_hash({
             "problem": problem, "repr": repr_name, "k": k, "fold": fold,
-            "lb": lb, "reps": reps, "timeout_s": timeout,
+            "reps": reps, "timeout_s": timeout,
             "instance": spec.name,
         })
         runs.append((rec, []))
@@ -195,7 +201,7 @@ def run_row(row, defaults, base_dir):
             try:
                 results.append(dispatch_solve(
                     problem, spec.n, spec.edges, rec["repr"],
-                    k=k, fold=fold, lb=lb, timeout=timeout))
+                    k=k, fold=fold, timeout=timeout))
             except SolveTimeout:
                 rec["status"] = "timeout"
                 rec["error"] = f"timeout after {timeout}s"
@@ -218,7 +224,7 @@ def run_row(row, defaults, base_dir):
         if cfg.get("counters"):
             # one extra instrumented run, never timed
             inst = dispatch_solve(problem, spec.n, spec.edges, rec["repr"],
-                                  k=k, fold=fold, lb=lb, timeout=timeout,
+                                  k=k, fold=fold, timeout=timeout,
                                   instrumented=True)
             rec["counters"] = json.dumps(inst.counters, sort_keys=True,
                                          separators=(",", ":"))
@@ -246,6 +252,15 @@ def run_row(row, defaults, base_dir):
     return records
 
 
+def _check_entry(entry, where):
+    for key in entry:
+        if key not in KEYS:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    if "reps" in entry and int(entry["reps"]) < 1:
+        raise ValueError(f"{where}: reps must be at least 1, "
+                         f"got {entry['reps']!r}")
+
+
 def run_manifest(manifest, base_dir=None, reps=None, counters=False):
     """Run every row in manifest order.  `manifest` is a path or a
     parsed dict.  Returns (records, all_ok); skipped optional rows do
@@ -264,8 +279,11 @@ def run_manifest(manifest, base_dir=None, reps=None, counters=False):
         defaults["reps"] = reps
     if counters:
         defaults["counters"] = True
-    records = [rec for row in data.get("runs", [])
-               for rec in run_row(row, defaults, base_dir)]
+    rows = data.get("runs", [])
+    _check_entry(defaults, "defaults")
+    for i, row in enumerate(rows):
+        _check_entry(row, f"row {i}")
+    records = [rec for row in rows for rec in run_row(row, defaults, base_dir)]
     all_ok = all(r["status"] in ("ok", "skipped") for r in records)
     return records, all_ok
 

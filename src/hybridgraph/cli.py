@@ -50,8 +50,6 @@ def main():
               help="Budget for vc-parm / ce.")
 @click.option("--fold", is_flag=True,
               help="Degree-2 folding (vc-parm with --repr hybrid only).")
-@click.option("--lb", default=None, type=click.Choice(["clique", "matching"]),
-              help="Lower bound used by the vc optimizer [default: clique].")
 @click.option("--complement", is_flag=True,
               help="Solve on the complement of a DIMACS instance.")
 @click.option("--timeout-s", type=float, default=None,
@@ -61,7 +59,7 @@ def main():
               help="Add an instrumented run and report operation counters.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the record as JSON.")
 @click.option("--csv", "as_csv", is_flag=True, help="Emit the record as CSV.")
-def solve(problem, input_path, repr_name, k, fold, lb, complement,
+def solve(problem, input_path, repr_name, k, fold, complement,
           timeout_s, counters, as_json, as_csv):
     """Solve one instance and print the result record."""
     if k is None and problem in ("vc-parm", "ce"):
@@ -70,9 +68,6 @@ def solve(problem, input_path, repr_name, k, fold, lb, complement,
         _fail(f"{problem} does not take --k")
     if fold and problem != "vc-parm":
         _fail("--fold is only valid for vc-parm")
-    if lb is not None and problem != "vc":
-        _fail("--lb is only valid for vc")
-    lb = lb or "clique"
     try:
         spec, warnings = read_instance(input_path, complement=complement)
     except (OSError, InstanceFormatError) as exc:
@@ -82,11 +77,11 @@ def solve(problem, input_path, repr_name, k, fold, lb, complement,
     try:
         res = benchmod.dispatch_solve(
             problem, spec.n, spec.edges, repr_name,
-            k=k, fold=fold, lb=lb, timeout=timeout_s)
+            k=k, fold=fold, timeout=timeout_s)
         if counters:
             res_inst = benchmod.dispatch_solve(
                 problem, spec.n, spec.edges, repr_name,
-                k=k, fold=fold, lb=lb, timeout=timeout_s, instrumented=True)
+                k=k, fold=fold, timeout=timeout_s, instrumented=True)
             res.counters = res_inst.counters
     except SolveTimeout:
         _fail(f"timeout after {timeout_s}s", EXIT_TIMEOUT)
@@ -97,7 +92,7 @@ def solve(problem, input_path, repr_name, k, fold, lb, complement,
     record["instance"] = spec.name
     record["config_hash"] = benchmod.config_hash({
         "problem": problem, "repr": repr_name, "k": k, "fold": fold,
-        "lb": lb, "timeout_s": timeout_s, "instance": spec.name,
+        "timeout_s": timeout_s, "instance": spec.name,
     })
     if as_json:
         click.echo(json.dumps(record, indent=2, default=str))

@@ -2,10 +2,9 @@
 
 ``solve_vc_opt`` is a branch-and-bound optimization: degree-0/1
 reductions, two-way mirror branching on a maximum-degree vertex, a
-greedy initial incumbent, and a selectable lower bound.  The default
-bound greedily partitions the active vertices into cliques (a cover
-misses at most one vertex per clique); ``lb="matching"`` uses a greedy
-maximal matching together with edges-over-max-degree.
+greedy initial incumbent, and a lower bound that is the larger of a
+greedy maximal matching (a cover takes one end of every matched edge)
+and edges over maximum degree (no vertex covers more than Δ edges).
 
 ``solve_vc_parm`` decides whether a cover of size k exists.  It adds
 the high-degree rule (degree > k forces the vertex) and the m > k^2
@@ -92,9 +91,8 @@ def _unfold(trail):
 
 
 class _OptSearch(Search):
-    def __init__(self, g, timeout, lb_mode):
+    def __init__(self, g, timeout):
         super().__init__(g, timeout)
-        self.lb_mode = lb_mode
         self.best = None
 
     def greedy_cover(self):
@@ -108,36 +106,22 @@ class _OptSearch(Search):
         g.restore(snap)
         return cover
 
-    def lower_bound(self):
+    def lower_bound(self, m, delta):
+        """Cover size still needed by a graph of ``m > 0`` edges and
+        maximum degree ``delta``."""
         g = self.g
-        if self.lb_mode == "matching":
-            m = g.active_edge_count()
-            if m == 0:
-                return 0
-            delta = g.degree(g.max_degree_vertex())
-            matched = set()
-            size = 0
-            for u in sorted(g.active_vertices()):
-                if u in matched:
-                    continue
-                for w in sorted(g.neighbors(u)):
-                    if w not in matched:
-                        matched.add(u)
-                        matched.add(w)
-                        size += 1
-                        break
-            return max(size, -(-m // delta))
-        # clique cover: a cover leaves at most one vertex per clique
-        order = sorted(g.active_vertices(), key=lambda v: (-g.degree(v), v))
-        cliques = []
-        for v in order:
-            for cl in cliques:
-                if all(g.is_adjacent(v, w) for w in cl):
-                    cl.append(v)
+        matched = set()
+        size = 0
+        for u in sorted(g.active_vertices()):
+            if u in matched:
+                continue
+            for w in sorted(g.neighbors(u)):
+                if w not in matched:
+                    matched.add(u)
+                    matched.add(w)
+                    size += 1
                     break
-            else:
-                cliques.append([v])
-        return len(order) - len(cliques)
+        return max(size, -(-m // delta))
 
     def run(self):
         self.best = self.greedy_cover()
@@ -150,24 +134,24 @@ class _OptSearch(Search):
         trail = self.trail
         _delete(g, trail, take, drop)
         _reduce(g, trail)
-        if g.active_edge_count() == 0:
+        m = g.active_edge_count()
+        if m == 0:
             if len(trail) < len(self.best):
                 self.best = list(trail)
-        elif len(trail) + self.lower_bound() < len(self.best):
-            v = g.max_degree_vertex()
+            return
+        v = g.max_degree_vertex()
+        if len(trail) + self.lower_bound(m, g.degree(v)) < len(self.best):
             nbrs = sorted(g.neighbors(v))
             self.node((v,))
             if len(trail) + len(nbrs) < len(self.best):
                 self.node(nbrs, (v,))
 
 
-def solve_vc_opt(n, edges, repr_name="hybrid", lb="clique", timeout=None,
+def solve_vc_opt(n, edges, repr_name="hybrid", timeout=None,
                  instrumented=False):
     """Minimum vertex cover size with a witness."""
-    if lb not in ("clique", "matching"):
-        raise ValueError(f"unknown lower bound {lb!r}")
     g = build_representation(repr_name, "plain", n, edges, instrumented)
-    search = _OptSearch(g, timeout, lb)
+    search = _OptSearch(g, timeout)
     witness, wall = timed(n + 1, search.run)
     if not verify_vc(n, edges, witness):
         raise RuntimeError("optimizer produced an invalid cover")

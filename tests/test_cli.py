@@ -73,15 +73,12 @@ def test_solve_flag_validation(runner, petersen_file):
         main, ["solve", "vc-parm", "--input", petersen_file, "--k", "6",
                "--fold", "--repr", "alist"])
     assert fold_alist.exit_code == 2
-    for problem, extra in (("ds", []), ("vc-parm", ["--k", "6"]),
+    for problem, extra in (("vc", []), ("ds", []), ("vc-parm", ["--k", "6"]),
                            ("ce", ["--k", "3"])):
         bad_lb = runner.invoke(main, ["solve", problem, "--input", petersen_file,
                                       "--lb", "matching", *extra])
         assert bad_lb.exit_code == 2
         assert "--lb" in bad_lb.stderr
-    vc_lb = runner.invoke(main, ["solve", "vc", "--input", petersen_file,
-                                 "--lb", "matching"])
-    assert vc_lb.exit_code == 0 and "size 6" in vc_lb.stdout
 
 
 def test_solve_missing_and_malformed_files(runner, tmp_path):
@@ -278,6 +275,40 @@ def test_bench_alternates_representations(tmp_path, monkeypatch):
     assert records[2]["nodes"] == 5 and records[2]["speedup"] == ""
     assert records[3]["error"] == "timeout after 5s"
     assert not all_ok
+
+
+def test_bench_rejects_reps_below_one_flag(runner, tmp_path):
+    path = _manifest(tmp_path, [
+        {"problem": "ds", "generator": {"kind": "gnm", "n": 12, "m": 20, "seed": 1}},
+    ])
+    for res in (runner.invoke(main, ["bench", str(path), "--reps", "0"]),
+                runner.invoke(main, ["bench", str(path)],
+                              env={"HYBRIDGRAPH_REPS": "0"})):
+        assert res.exit_code == 2
+        assert "reps" in res.stderr
+        assert res.stdout == ""
+
+
+def test_bench_rejects_reps_below_one_row(runner, tmp_path):
+    gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
+    path = _manifest(tmp_path, [{"problem": "ds", "generator": gen},
+                                {"problem": "ds", "generator": gen, "reps": 0}])
+    res = runner.invoke(main, ["bench", str(path)])
+    assert res.exit_code == 2
+    assert "row 1: reps" in res.stderr
+    assert res.stdout == ""
+    with pytest.raises(ValueError, match="defaults: reps"):
+        run_manifest(_manifest(tmp_path, [], defaults={"reps": 0}))
+
+
+def test_bench_rejects_unknown_keys(tmp_path):
+    gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
+    for row, key in (({"problem": "vc", "generator": gen, "lb": "clique"}, "lb"),
+                     ({"problem": "ds", "generator": gen, "rep": 2}, "rep")):
+        with pytest.raises(ValueError, match=f"row 0: unknown key '{key}'"):
+            run_manifest(_manifest(tmp_path, [row]))
+    with pytest.raises(ValueError, match="defaults: unknown key 'lb'"):
+        run_manifest(_manifest(tmp_path, [], defaults={"lb": "matching"}))
 
 
 def test_bench_csv_round_trip(tmp_path):

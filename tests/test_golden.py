@@ -15,12 +15,10 @@ from helpers import gnm
 
 REPRS = ("hybrid", "alist")
 
-# gnm(20, 70, seed): (seed, lb, (answer, nodes, witness))
+# gnm(20, 70, seed): (seed, (answer, nodes, witness))
 VC_OPT = [
-    (3, "clique", (13, 19, [3, 4, 6, 7, 8, 10, 11, 13, 14, 15, 16, 17, 19])),
-    (3, "matching", (13, 18, [3, 4, 6, 7, 8, 10, 11, 13, 14, 15, 16, 17, 19])),
-    (11, "clique", (13, 15, [0, 2, 4, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19])),
-    (11, "matching", (13, 15, [0, 2, 4, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19])),
+    (3, (13, 18, [3, 4, 6, 7, 8, 10, 11, 13, 14, 15, 16, 17, 19])),
+    (11, (13, 15, [0, 2, 4, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19])),
 ]
 
 # gnm(20, 70, seed) at k = opt and opt - 1: (seed, k, fold, result)
@@ -61,11 +59,11 @@ def _key(res):
 
 
 def test_vc_opt_golden():
-    for seed, lb, want in VC_OPT:
+    for seed, want in VC_OPT:
         n, edges = gnm(20, 70, seed)
         for repr_name in REPRS:
-            res = solve_vc_opt(n, edges, repr_name=repr_name, lb=lb)
-            assert _key(res) == want, (seed, lb, repr_name)
+            res = solve_vc_opt(n, edges, repr_name=repr_name)
+            assert _key(res) == want, (seed, repr_name)
 
 
 def test_vc_parm_golden():

@@ -48,17 +48,16 @@ def test_vc_opt_petersen():
     assert res.answer == 6
 
 
-def test_vc_opt_matches_oracle_both_lbs():
+def test_vc_opt_matches_oracle():
     rng = random.Random(1009)
     for trial in range(40):
         n = rng.randrange(4, 15)
         m = rng.randrange(0, n * (n - 1) // 2 + 1)
         n, edges = gnm(n, m, rng.randrange(1 << 30))
         want = brute_vc(n, edges)
-        for lb in ("clique", "matching"):
-            res = solve_vc_opt(n, edges, lb=lb)
-            assert res.answer == want, (n, edges, lb)
-            assert verify_vc(n, edges, res.witness)
+        res = solve_vc_opt(n, edges)
+        assert res.answer == want, (n, edges)
+        assert verify_vc(n, edges, res.witness)
 
 
 def test_vc_opt_node_counts_match_across_reprs():
@@ -272,7 +271,7 @@ def test_bad_timeout_raises(seconds):
 
 def _frame_runs():
     n, edges = gnm(20, 70, 3)
-    yield "vc", 1, solve_vc_opt(n, edges, lb="matching", instrumented=True)
+    yield "vc", 1, solve_vc_opt(n, edges, instrumented=True)
     res = solve_vc_opt(n, edges, repr_name="alist", instrumented=True)
     yield "vc", 1, res
     for k in (res.answer, res.answer - 1):
