@@ -2,7 +2,7 @@
 
 Neighbor rows are padded to length n at build time so that edges added
 during the search can live in tail slots: the t-th addition at a vertex
-occupies slot n - t, growing downward, with the frame-local ``ndeg``
+occupies slot n - t, growing downward, with the search-local ``ndeg``
 counting additions the way ``deg`` counts the live base prefix.  An
 added pair is permanent for the rest of its search path; only
 ``restore()`` removes it (by rolling ``ndeg`` back, which abandons the
@@ -34,52 +34,47 @@ from .core import HybridGraph
 
 
 class AdditionGraph(HybridGraph):
-    __slots__ = ("base_deg",)
+    __slots__ = ("base_deg", "ndeg")
 
     def _init_mode(self):
         n = self.n
-        self.base_deg = list(self.frame.deg)
+        self.base_deg = list(self.deg)
         for row in self.al:
             row.extend([-1] * (n - len(row)))  # -1 marks never-written slots
-        self.frame.ndeg = [0] * n
+        self.ndeg = [0] * n
 
     def is_adjacent(self, u, v):
         i = self.im[u][v]
         if i == -1:
             return False
-        f = self.frame
-        if i < f.deg[v]:
+        if i < self.deg[v]:
             return True
-        return self.n - 1 - i < f.ndeg[v] and self.al[v][i] == u
+        return self.n - 1 - i < self.ndeg[v] and self.al[v][i] == u
 
     def neighbors(self, v):
-        f = self.frame
         row = self.al[v]
-        out = row[: f.deg[v]]
-        nd = f.ndeg[v]
+        out = row[: self.deg[v]]
+        nd = self.ndeg[v]
         if nd:
             out.extend(row[self.n - nd :])
         return out
 
     def degree(self, v):
-        f = self.frame
-        return f.deg[v] + f.ndeg[v]
+        return self.deg[v] + self.ndeg[v]
 
     def active_edge_count(self):
-        f = self.frame
-        deg = f.deg
-        ndeg = f.ndeg
-        return sum(deg[v] + ndeg[v] for v in self.vlist[: f.n_c]) // 2
+        deg = self.deg
+        ndeg = self.ndeg
+        return sum(deg[v] + ndeg[v] for v in self.vlist[: self.n_c]) // 2
 
     def max_degree_vertex(self):
-        f = self.frame
-        if f.n_c == 0:
+        if self.n_c == 0:
             return None
-        deg = f.deg
-        ndeg = f.ndeg
+        deg = self.deg
+        ndeg = self.ndeg
         best = self.vlist[0]
         best_d = deg[best] + ndeg[best]
-        for v in self.vlist[1 : f.n_c]:
+        for v in self.vlist[1 : self.n_c]:
             d = deg[v] + ndeg[v]
             if d > best_d or (d == best_d and v < best):
                 best = v
@@ -88,9 +83,8 @@ class AdditionGraph(HybridGraph):
 
     def add_edge(self, u, v):
         """Permanently add non-adjacent pair (u,v) on this search path."""
-        f = self.frame
         n = self.n
-        ndeg = f.ndeg
+        ndeg = self.ndeg
         assert u != v, "self-loop"
         assert not AdditionGraph.is_adjacent(self, u, v), \
             f"add_edge on adjacent pair ({u},{v})"
@@ -106,3 +100,13 @@ class AdditionGraph(HybridGraph):
         self.al[v][slot] = u
         self.im[u][v] = slot
         ndeg[v] += 1
+
+    def snapshot(self):
+        return self.deg.copy(), self.n_c, self.ndeg.copy()
+
+    def restore(self, saved):
+        deg, n_c, ndeg = saved
+        assert len(deg) == len(self.deg), "snapshot from a different graph"
+        self.deg[:] = deg
+        self.n_c = n_c
+        self.ndeg[:] = ndeg

@@ -77,9 +77,7 @@ class BaselineGraph:
     # -- queries ------------------------------------------------------
 
     def is_adjacent(self, u, v):
-        """List scan of u's chain; False if either endpoint is inactive."""
-        if not (self.active[u] and self.active[v]):
-            return False
+        """List scan of u's chain (empty while u is deleted)."""
         nbr = self.nbr
         nxt = self.nxt
         c = self.head[u]
@@ -142,16 +140,6 @@ class BaselineGraph:
             self.prv[x] = p
         self.deg[self.owner[c]] -= 1
 
-    def _find_cell(self, u, v):
-        nbr = self.nbr
-        nxt = self.nxt
-        c = self.head[u]
-        while c != -1:
-            if nbr[c] == v:
-                return c
-            c = nxt[c]
-        return -1
-
     # -- mutations ----------------------------------------------------
 
     def delete_edge(self, u, v):
@@ -188,6 +176,8 @@ class BaselineGraph:
         self.log.append(("edge", cu, cv))
 
     def delete_vertex(self, v):
+        """Unlink v's twin cell from each neighbor's chain and empty v's
+        own chain; the log record keeps v's old head for restore."""
         assert self.active[v], f"delete_vertex on inactive vertex {v}"
         self.active[v] = False
         self.n_active -= 1
@@ -215,14 +205,15 @@ class BaselineGraph:
             deg[w] -= 1
             removed.append(cw)
             c = nxt[c]
-        old_deg = deg[v]
+        self.log.append(("vertex", v, deg[v], removed, head[v]))
         deg[v] = 0
-        self.log.append(("vertex", v, old_deg, removed))
+        head[v] = -1
 
     def add_edge(self, u, v):
         """Permanently add pair (u,v); undone only via restore."""
         assert u != v, "self-loop"
-        assert self._find_cell(u, v) == -1, f"add_edge on adjacent pair ({u},{v})"
+        assert not BaselineGraph.is_adjacent(self, u, v), \
+            f"add_edge on adjacent pair ({u},{v})"
         cu = self._new_cell(u, v)
         cv = self._new_cell(v, u)
         self.log.append(("add", cu, cv))
@@ -265,5 +256,6 @@ class BaselineGraph:
             if tag == "vertex":
                 v = rec[1]
                 deg[v] = rec[2]
+                head[v] = rec[4]
                 self.active[v] = True
                 self.n_active += 1

@@ -30,8 +30,10 @@ optional name, k (int, or "planted" with a ce generator), fold,
 reprs, reps, timeout_s, complement, optional (skip silently when the
 path is missing: used for large instance files that are fetched
 separately), counters.  ``defaults`` takes the same keys.  Before any
-row runs, the manifest is rejected with a ValueError naming the key if
-``defaults`` or a row holds any other key, or a ``reps`` below 1.
+row runs, the manifest is rejected with a ValueError naming the row and
+the key if ``defaults`` or a row holds any other key or a value
+outside ``VALUE_RULES``: k an int >= 0 or "planted", reps an int >= 1,
+timeout_s null or a number >= 0 (a JSON boolean is none of these).
 """
 
 import csv
@@ -173,7 +175,7 @@ def run_row(row, defaults, base_dir):
         cfg["k"] = k
         cfg["seed"] = seed
         reprs = cfg.get("reprs", ["hybrid", "alist"])
-        reps = int(cfg.get("reps", 3))
+        reps = cfg.get("reps", 3)
         timeout = cfg.get("timeout_s")
         fold = bool(cfg.get("fold", False))
         name = row.get("name") or spec.name
@@ -252,13 +254,25 @@ def run_row(row, defaults, base_dir):
     return records
 
 
+# (key, rule, test) for values; type(x) is int, not isinstance, so that
+# JSON true/false do not pass as 1/0
+VALUE_RULES = (
+    ("k", "an int >= 0 or 'planted'",
+     lambda x: x == "planted" or type(x) is int and x >= 0),
+    ("reps", "an int >= 1", lambda x: type(x) is int and x >= 1),
+    ("timeout_s", "null or a number >= 0",
+     lambda x: x is None or type(x) in (int, float) and x >= 0),
+)
+
+
 def _check_entry(entry, where):
     for key in entry:
         if key not in KEYS:
             raise ValueError(f"{where}: unknown key {key!r}")
-    if "reps" in entry and int(entry["reps"]) < 1:
-        raise ValueError(f"{where}: reps must be at least 1, "
-                         f"got {entry['reps']!r}")
+    for key, rule, ok in VALUE_RULES:
+        if key in entry and not ok(entry[key]):
+            raise ValueError(f"{where}: {key} must be {rule}, "
+                             f"got {entry[key]!r}")
 
 
 def run_manifest(manifest, base_dir=None, reps=None, counters=False):

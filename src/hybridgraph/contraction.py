@@ -1,14 +1,14 @@
 """Contraction mode: the graph is viewed as a quotient over color sets.
 
-Every vertex carries a color (frame-local ``vcolor``); initially color
+Every vertex carries a color (search-local ``vcolor``); initially color
 ids equal vertex ids and every color is a singleton.  The public vertex
 API means the quotient graph, whose vertices are the active colors:
 ``active_vertices``, ``degree``, ``neighbors``, ``is_adjacent``,
 ``max_degree_vertex``, ``active_edge_count`` and ``delete_vertex`` all
 take and return colors, so a search written against the vertex API
 runs here unchanged and ``contract`` is one more edit it can make.
-``vlist`` / ``idxlist`` track the active colors, and the frame holds two
-more vectors: ``cc[c]`` (member count of color c, 0 exactly for retired
+``vlist`` / ``idxlist`` track the active colors.  Two more search-local
+vectors: ``cc[c]`` (member count of color c, 0 exactly for retired
 colors) and ``cd[c]`` (number of distinct active colors adjacent to c).
 The global table ``csl[c]`` lists c's members in its first ``cc[c]``
 slots, with the same stale-tail convention as ``al``.
@@ -21,31 +21,30 @@ that invariant, ``cd[c]`` equals the number of live member edges
 leaving c, so listing a color's neighbor colors is a plain scan of its
 members' live prefixes with no dedup pass.
 
-Undo is unchanged: all color vectors are frame-local, ``csl`` appends
-land past the restored ``cc`` prefix, so ``restore()`` is still one
-frame copy.
+Undo is unchanged: the color vectors are search-local and ``csl``
+appends land past the restored ``cc`` prefix, so ``restore()`` copies
+back ``deg``, ``n_c``, ``vcolor``, ``cc`` and ``cd`` and nothing else.
 
 Only ``delete_edge`` stays member-level: it takes the endpoints of a
 live member edge and keeps ``cd`` in step.  Member-level queries go
-through the base class (``HybridGraph.neighbors(g, x)``) or the frame.
+through the base class (``HybridGraph.neighbors(g, x)``) or ``deg``.
 """
 
 from .core import HybridGraph
 
 
 class ContractionGraph(HybridGraph):
-    __slots__ = ("csl", "_stamp", "_gen")
+    __slots__ = ("csl", "_stamp", "_gen", "vcolor", "cc", "cd")
 
     def _init_mode(self):
         n = self.n
-        f = self.frame
         csl = [[-1] * n for _ in range(n)]
         for v in range(n):
             csl[v][0] = v
         self.csl = csl
-        f.vcolor = list(range(n))
-        f.cc = [1] * n
-        f.cd = f.deg.copy()
+        self.vcolor = list(range(n))
+        self.cc = [1] * n
+        self.cd = self.deg.copy()
         # scratch marks, cleared lazily by bumping the generation stamp
         self._stamp = [0] * n
         self._gen = 0
@@ -53,28 +52,27 @@ class ContractionGraph(HybridGraph):
     # -- colors -------------------------------------------------------
 
     def color_members(self, c):
-        return self.csl[c][: self.frame.cc[c]]
+        return self.csl[c][: self.cc[c]]
 
     def color_size(self, c):
-        return self.frame.cc[c]
+        return self.cc[c]
 
     def color_of(self, v):
-        return self.frame.vcolor[v]
+        return self.vcolor[v]
 
     # -- quotient queries ---------------------------------------------
 
     def degree(self, c):
-        return self.frame.cd[c]
+        return self.cd[c]
 
     def neighbors(self, c):
         """Active colors adjacent to c; distinct by the one-edge invariant."""
-        f = self.frame
-        vc = f.vcolor
+        vc = self.vcolor
         al = self.al
-        deg = f.deg
+        deg = self.deg
         members = self.csl[c]
         out = []
-        for idx in range(f.cc[c]):
+        for idx in range(self.cc[c]):
             a = members[idx]
             row = al[a]
             for j in range(deg[a]):
@@ -83,14 +81,13 @@ class ContractionGraph(HybridGraph):
 
     def is_adjacent(self, ca, cb):
         """Whether active colors ca and cb share a member edge."""
-        f = self.frame
-        if f.cd[ca] > f.cd[cb]:
+        if self.cd[ca] > self.cd[cb]:
             ca, cb = cb, ca
-        vc = f.vcolor
+        vc = self.vcolor
         al = self.al
-        deg = f.deg
+        deg = self.deg
         members = self.csl[ca]
-        for idx in range(f.cc[ca]):
+        for idx in range(self.cc[ca]):
             a = members[idx]
             row = al[a]
             for j in range(deg[a]):
@@ -100,39 +97,36 @@ class ContractionGraph(HybridGraph):
 
     def max_degree_vertex(self):
         """Active color of maximum color degree, lowest id on ties."""
-        return self._max_degree(self.frame.cd)
+        return self._max_degree(self.cd)
 
     def active_edge_count(self):
         """Quotient edges, which by the one-edge invariant are the live
         member edges.  The inherited member-degree sum would miss edges
         held by absorbed members."""
-        f = self.frame
-        cd = f.cd
-        return sum(cd[c] for c in self.vlist[: f.n_c]) // 2
+        cd = self.cd
+        return sum(cd[c] for c in self.vlist[: self.n_c]) // 2
 
     # -- mutations ----------------------------------------------------
 
     def delete_edge(self, u, v):
-        f = self.frame
-        cu = f.vcolor[u]
-        cv = f.vcolor[v]
+        cu = self.vcolor[u]
+        cv = self.vcolor[v]
         assert cu != cv, "no member edges exist inside a color"
         HybridGraph.delete_edge(self, u, v)
-        f.cd[cu] -= 1
-        f.cd[cv] -= 1
+        self.cd[cu] -= 1
+        self.cd[cv] -= 1
 
     def _retire_color(self, c):
-        f = self.frame
         vlist = self.vlist
         idxlist = self.idxlist
-        last = f.n_c - 1
+        last = self.n_c - 1
         i = idxlist[c]
         w = vlist[last]
         vlist[i] = w
         idxlist[w] = i
         vlist[last] = c
         idxlist[c] = last
-        f.n_c = last
+        self.n_c = last
 
     def contract(self, cu, cv):
         """Merge color cv into color cu; the two must be distinct,
@@ -140,15 +134,14 @@ class ContractionGraph(HybridGraph):
         deleted (the connector plus one per common neighbor color), so
         callers can track the live edge count.
         """
-        f = self.frame
-        vc = f.vcolor
-        cc = f.cc
-        cd = f.cd
+        vc = self.vcolor
+        cc = self.cc
+        cd = self.cd
         al = self.al
-        deg = f.deg
+        deg = self.deg
         idxlist = self.idxlist
         assert cu != cv, f"contract({cu},{cv}): same color"
-        assert idxlist[cu] < f.n_c and idxlist[cv] < f.n_c, "inactive color"
+        assert idxlist[cu] < self.n_c and idxlist[cv] < self.n_c, "inactive color"
         # mark every color currently adjacent to the surviving side
         self._gen += 1
         gen = self._gen
@@ -205,15 +198,14 @@ class ContractionGraph(HybridGraph):
         from the top of its prefix, so only the far endpoint's row
         changes and the member's degree drops to 0 once.
         """
-        f = self.frame
-        assert self.idxlist[c] < f.n_c, f"delete_vertex on inactive color {c}"
-        vc = f.vcolor
-        cd = f.cd
+        assert self.idxlist[c] < self.n_c, f"delete_vertex on inactive color {c}"
+        vc = self.vcolor
+        cd = self.cd
         al = self.al
         im = self.im
-        deg = f.deg
+        deg = self.deg
         members = self.csl[c]
-        for idx in range(f.cc[c]):
+        for idx in range(self.cc[c]):
             b = members[idx]
             row_b = al[b]
             im_b = im[b]
@@ -232,5 +224,20 @@ class ContractionGraph(HybridGraph):
                 deg[x] = k
             deg[b] = 0
         cd[c] = 0
-        f.cc[c] = 0
+        self.cc[c] = 0
         self._retire_color(c)
+
+    # -- undo ---------------------------------------------------------
+
+    def snapshot(self):
+        return (self.deg.copy(), self.n_c, self.vcolor.copy(),
+                self.cc.copy(), self.cd.copy())
+
+    def restore(self, saved):
+        deg, n_c, vcolor, cc, cd = saved
+        assert len(deg) == len(self.deg), "snapshot from a different graph"
+        self.deg[:] = deg
+        self.n_c = n_c
+        self.vcolor[:] = vcolor
+        self.cc[:] = cc
+        self.cd[:] = cd

@@ -1,7 +1,7 @@
 """Hybrid graph representation with constant-time undo.
 
-The structure keeps four global tables plus one frame of search-local
-state.  All arrays are 0-indexed.
+The structure keeps four global tables plus the search-local vectors
+that undo rolls back.  All arrays are 0-indexed.
 
 - ``al[v]``: neighbor array of v.  The first ``deg[v]`` slots are the
   live neighborhood; slots past ``deg[v]`` hold stale former neighbors
@@ -13,12 +13,12 @@ state.  All arrays are 0-indexed.
 - ``vlist`` / ``idxlist``: a permutation of the vertices and its
   inverse.  The first ``n_c`` entries of ``vlist`` are the active
   vertices.
-- ``SearchFrame``: everything a search path mutates per node (``deg``,
-  ``n_c``, and mode-specific vectors).  ``snapshot()`` copies the
-  frame, ``restore()`` copies it back.  The global tables are
-  intentionally never rolled back, so undoing an arbitrarily long
-  burst of operations costs one O(n) frame copy and nothing per
-  undone operation.
+- ``deg`` and ``n_c``: everything a search path mutates per node in
+  plain mode.  ``snapshot()`` copies them into a tuple, ``restore()``
+  copies them back; each extension mode adds its own vectors to both.
+  The global tables are intentionally never rolled back, so undoing an
+  arbitrarily long burst of operations costs one O(n) copy and nothing
+  per undone operation.
 
 Restoration has set semantics: the live neighborhood contents come
 back exactly, but their order inside the prefix may differ from before
@@ -49,50 +49,10 @@ class VertexRangeError(GraphBuildError):
     pass
 
 
-class SearchFrame:
-    """Search-local state: exactly the vectors undo must roll back.
-
-    ``ndeg`` is used by the permanent-addition mode, ``vcolor``/``cc``/
-    ``cd`` by the contraction mode; they stay None otherwise.
-    """
-
-    __slots__ = ("deg", "n_c", "ndeg", "vcolor", "cc", "cd")
-
-    def __init__(self, deg, n_c, ndeg=None, vcolor=None, cc=None, cd=None):
-        self.deg = deg
-        self.n_c = n_c
-        self.ndeg = ndeg
-        self.vcolor = vcolor
-        self.cc = cc
-        self.cd = cd
-
-    def copy(self):
-        return SearchFrame(
-            self.deg.copy(),
-            self.n_c,
-            None if self.ndeg is None else self.ndeg.copy(),
-            None if self.vcolor is None else self.vcolor.copy(),
-            None if self.cc is None else self.cc.copy(),
-            None if self.cd is None else self.cd.copy(),
-        )
-
-    def load(self, saved):
-        """Overwrite this frame in place with a snapshot's contents."""
-        assert len(saved.deg) == len(self.deg), "snapshot from a different graph"
-        self.deg[:] = saved.deg
-        self.n_c = saved.n_c
-        if self.ndeg is not None:
-            self.ndeg[:] = saved.ndeg
-        if self.vcolor is not None:
-            self.vcolor[:] = saved.vcolor
-            self.cc[:] = saved.cc
-            self.cd[:] = saved.cd
-
-
 class HybridGraph:
     """Plain mode: edge and vertex deletions, O(n) restore."""
 
-    __slots__ = ("n", "al", "im", "vlist", "idxlist", "frame")
+    __slots__ = ("n", "al", "im", "vlist", "idxlist", "deg", "n_c")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -116,52 +76,48 @@ class HybridGraph:
         self.im = im
         self.vlist = list(range(n))
         self.idxlist = list(range(n))
-        self.frame = SearchFrame([len(row) for row in al], n)
+        self.deg = [len(row) for row in al]
+        self.n_c = n
         self._init_mode()
 
     def _init_mode(self):
         pass
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, active={self.frame.n_c})"
+        return f"{type(self).__name__}(n={self.n}, active={self.n_c})"
 
     # -- queries ------------------------------------------------------
 
     def is_adjacent(self, u, v):
         i = self.im[u][v]
-        return -1 < i < self.frame.deg[v]
+        return -1 < i < self.deg[v]
 
     def neighbors(self, v):
         """Live neighborhood of v, as a fresh list (safe to delete under)."""
-        return self.al[v][: self.frame.deg[v]]
+        return self.al[v][: self.deg[v]]
 
     def degree(self, v):
-        return self.frame.deg[v]
-
-    @property
-    def deg(self):
-        """The live per-vertex degree vector (do not mutate)."""
-        return self.frame.deg
+        return self.deg[v]
 
     def active_vertices(self):
-        return self.vlist[: self.frame.n_c]
+        return self.vlist[: self.n_c]
 
     def active_count(self):
-        return self.frame.n_c
+        return self.n_c
 
     def is_active(self, v):
-        return self.idxlist[v] < self.frame.n_c
+        return self.idxlist[v] < self.n_c
 
     def active_edge_count(self):
-        deg = self.frame.deg
-        return sum(deg[v] for v in self.vlist[: self.frame.n_c]) // 2
+        deg = self.deg
+        return sum(deg[v] for v in self.vlist[: self.n_c]) // 2
 
     def max_degree_vertex(self):
         """Active vertex of maximum degree, lowest id on ties, or None."""
-        return self._max_degree(self.frame.deg)
+        return self._max_degree(self.deg)
 
     def _max_degree(self, deg):
-        n_c = self.frame.n_c
+        n_c = self.n_c
         if n_c == 0:
             return None
         best = self.vlist[0]
@@ -180,7 +136,7 @@ class HybridGraph:
         live prefix and shrink the prefix.  Constant cell count."""
         al = self.al
         im = self.im
-        deg = self.frame.deg
+        deg = self.deg
         assert -1 < im[u][v] < deg[v], f"delete_edge on non-adjacent pair ({u},{v})"
         row = al[u]
         i = im[v][u]
@@ -211,21 +167,20 @@ class HybridGraph:
         exactly as a ``delete_edge(row[j], v)`` per edge would leave
         them.
         """
-        f = self.frame
         idxlist = self.idxlist
-        assert idxlist[v] < f.n_c, f"delete_vertex on inactive vertex {v}"
+        assert idxlist[v] < self.n_c, f"delete_vertex on inactive vertex {v}"
         vlist = self.vlist
-        last = f.n_c - 1
+        last = self.n_c - 1
         i = idxlist[v]
         w = vlist[last]
         vlist[i] = w
         idxlist[w] = i
         vlist[last] = v
         idxlist[v] = last
-        f.n_c = last
+        self.n_c = last
         al = self.al
         im = self.im
-        deg = f.deg
+        deg = self.deg
         row_v = al[v]
         im_v = im[v]
         for j in range(deg[v] - 1, -1, -1):
@@ -245,9 +200,12 @@ class HybridGraph:
     # -- undo ---------------------------------------------------------
 
     def snapshot(self):
-        """Independent copy of the frame; pair with restore()."""
-        return self.frame.copy()
+        """Copy of the search-local vectors; pair with restore()."""
+        return self.deg.copy(), self.n_c
 
     def restore(self, saved):
         """Roll the graph back to a snapshot taken on this search path."""
-        self.frame.load(saved)
+        deg, n_c = saved
+        assert len(deg) == len(self.deg), "snapshot from a different graph"
+        self.deg[:] = deg
+        self.n_c = n_c

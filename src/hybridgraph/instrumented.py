@@ -6,8 +6,8 @@ normally and then swaps every cell array for a ``Cells`` list that adds
 each index, slice and copy to one shared ``[reads, writes]`` tally:
 
 - hybrid modes: the rows of ``al``, ``im`` and ``csl``, ``vlist`` /
-  ``idxlist``, and the frame vectors ``deg``, ``ndeg``, ``vcolor``,
-  ``cc`` and ``cd``;
+  ``idxlist``, and the search-local vectors ``deg``, ``ndeg``,
+  ``vcolor``, ``cc`` and ``cd`` that the graph's mode has;
 - baseline: ``nbr``, ``owner``, ``prv``, ``nxt``, ``head``, ``deg`` and
   ``active``.
 
@@ -96,19 +96,18 @@ class Cells(list):
 def _count_cells(g, tally):
     """Swap the cell arrays of a built graph for counting ones."""
     if isinstance(g, BaselineGraph):
-        vectors = ((g, ("nbr", "owner", "prv", "nxt", "head", "deg", "active")),)
+        names = ("nbr", "owner", "prv", "nxt", "head", "deg", "active")
     else:
         for name in ("al", "im", "csl"):
             rows = getattr(g, name, None)   # csl: contraction mode only
             if rows is not None:
                 rows[:] = [Cells(tally, row) for row in rows]
-        vectors = ((g, ("vlist", "idxlist")),
-                   (g.frame, ("deg", "ndeg", "vcolor", "cc", "cd")))
-    for holder, names in vectors:
-        for name in names:
-            cells = getattr(holder, name)
-            if cells is not None:
-                setattr(holder, name, Cells(tally, cells))
+        # ndeg: addition mode only; vcolor, cc, cd: contraction mode only
+        names = ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc", "cd")
+    for name in names:
+        cells = getattr(g, name, None)
+        if cells is not None:
+            setattr(g, name, Cells(tally, cells))
 
 
 def _counted(op, fn):

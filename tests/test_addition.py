@@ -29,7 +29,7 @@ def test_rows_padded_and_base_tables_intact():
     for v in range(8):
         assert len(g.al[v]) == 8
         assert g.al[v][: G8_DEG[v]] == G8_AL[v]
-    assert g.frame.ndeg == [0] * 8
+    assert g.ndeg == [0] * 8
 
 
 def test_added_edge_lands_in_tail_slots():
@@ -37,7 +37,7 @@ def test_added_edge_lands_in_tail_slots():
     g.add_edge(2, 6)
     assert g.al[2][7] == 6 and g.al[6][7] == 2
     assert g.im[6][2] == 7 and g.im[2][6] == 7
-    assert g.frame.ndeg[2] == 1 and g.frame.ndeg[6] == 1
+    assert g.ndeg[2] == 1 and g.ndeg[6] == 1
     assert g.is_adjacent(2, 6) and g.is_adjacent(6, 2)
     assert g.degree(2) == 5
     assert set(g.neighbors(2)) == {0, 1, 3, 5, 6}

@@ -167,6 +167,9 @@ def test_observable_equivalence_with_hybrid_on_same_script():
             assert a.active_count() == b.active_count()
             assert a.active_edge_count() == b.active_edge_count()
             assert a.max_degree_vertex() == b.max_degree_vertex()
-            for v in a.active_vertices():
+            # every vertex, active or not: a deleted one has no neighbors
+            for v in range(n):
                 assert a.degree(v) == b.degree(v)
                 assert set(a.neighbors(v)) == set(b.neighbors(v))
+                for w in range(n):
+                    assert a.is_adjacent(v, w) == b.is_adjacent(v, w)

@@ -311,6 +311,19 @@ def test_bench_rejects_unknown_keys(tmp_path):
         run_manifest(_manifest(tmp_path, [], defaults={"lb": "matching"}))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k", "x"), ("k", True), ("k", 2.5), ("reps", 2.5), ("timeout_s", "5")])
+def test_bench_rejects_malformed_values(runner, tmp_path, key, value):
+    gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
+    path = _manifest(tmp_path, [{"problem": "vc-parm", "k": 3, "generator": gen},
+                                {"problem": "vc-parm", "k": 3, "generator": gen,
+                                 key: value}])
+    res = runner.invoke(main, ["bench", str(path)])
+    assert res.exit_code == 2
+    assert f"row 1: {key} must be" in res.stderr
+    assert res.stdout == ""
+
+
 def test_bench_csv_round_trip(tmp_path):
     path = _manifest(tmp_path, [
         {"problem": "vc-parm", "k": 8,

@@ -1,11 +1,15 @@
 """Plain-mode representation: worked-example tables, inverse-permutation
 and live-prefix invariants, randomized undo integrity against the set
-mirror, determinism, input validation."""
+mirror, determinism, input validation; and, in every hybrid mode,
+restore() bringing back each search-local vector."""
 
+import copy
 import random
 
 import pytest
 
+from hybridgraph.addition import AdditionGraph
+from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import (
     DuplicateEdgeError,
     HybridGraph,
@@ -18,17 +22,16 @@ from mirrors import EdgeSetMirror
 
 
 def check_invariants(g):
-    f = g.frame
     n = g.n
-    assert 0 <= f.n_c <= n
+    assert 0 <= g.n_c <= n
     assert sorted(g.vlist) == list(range(n))
     for v in range(n):
         assert g.vlist[g.idxlist[v]] == v
     for v in range(n):
-        live = g.al[v][: f.deg[v]]
+        live = g.al[v][: g.deg[v]]
         assert len(set(live)) == len(live)
         for w in live:
-            assert g.im[w][v] < f.deg[v]
+            assert g.im[w][v] < g.deg[v]
             assert g.al[v][g.im[w][v]] == w
 
 
@@ -50,8 +53,8 @@ def check_against(g, mirror):
 def test_worked_example_tables():
     g = HybridGraph(G8_N, G8_EDGES)
     assert g.al == G8_AL
-    assert g.frame.deg == G8_DEG
-    assert g.frame.n_c == 8
+    assert g.deg == G8_DEG
+    assert g.n_c == 8
     # spot values of the index table
     assert g.im[1][0] == 0
     assert g.im[3][0] == 2
@@ -68,7 +71,7 @@ def test_adjacency_is_symmetric_and_range_checked():
     assert not g.is_adjacent(4, 4)
     g.delete_edge(0, 3)
     # stale index entries must not resurrect the pair
-    assert g.im[0][3] == 2 and g.frame.deg[3] == 2
+    assert g.im[0][3] == 2 and g.deg[3] == 2
     assert not g.is_adjacent(0, 3) and not g.is_adjacent(3, 0)
 
 
@@ -78,7 +81,7 @@ def test_delete_edge_worked_example():
     assert g.al[3] == [6, 2, 0]
     assert g.im[6][3] == 0
     assert g.im[0][3] == 2
-    assert g.frame.deg[0] == 2 and g.frame.deg[3] == 2
+    assert g.deg[0] == 2 and g.deg[3] == 2
     # the other rows are untouched
     assert g.al[1] == G8_AL[1] and g.al[2] == G8_AL[2]
     check_invariants(g)
@@ -88,8 +91,8 @@ def test_delete_vertex_clears_neighborhood():
     g = HybridGraph(G8_N, G8_EDGES)
     g.delete_vertex(2)
     assert not g.is_active(2)
-    assert g.frame.deg[2] == 0
-    assert g.frame.n_c == 7
+    assert g.deg[2] == 0
+    assert g.n_c == 7
     for w in (0, 1, 3, 5):
         assert not g.is_adjacent(2, w)
         assert not g.is_adjacent(w, 2)
@@ -104,8 +107,8 @@ def test_restore_is_set_semantics():
     g.delete_edge(0, 1)
     g.delete_vertex(2)
     g.restore(snap)
-    assert g.frame.deg == G8_DEG
-    assert g.frame.n_c == 8
+    assert g.deg == G8_DEG
+    assert g.n_c == 8
     for v in range(8):
         assert set(g.neighbors(v)) == set(G8_AL[v])
     check_invariants(g)
@@ -224,5 +227,72 @@ def test_identical_scripts_are_bit_deterministic():
     assert a.im == b.im
     assert a.vlist == b.vlist
     assert a.idxlist == b.idxlist
-    assert a.frame.deg == b.frame.deg
-    assert a.frame.n_c == b.frame.n_c
+    assert a.deg == b.deg
+    assert a.n_c == b.n_c
+
+
+# global tables: never rolled back by design
+GLOBAL_TABLES = {"al", "im", "vlist", "idxlist", "csl", "base_deg",
+                 "_stamp", "_gen"}
+
+
+def _random_edit(g, rng, edited):
+    """One mutation valid on g's mode; `edited` holds the pairs edited on
+    this path (addition mode edits each pair at most once per path)."""
+    act = sorted(g.active_vertices())
+    if isinstance(g, ContractionGraph):
+        colors = [c for c in act if g.degree(c)]
+        r = rng.random()
+        if r < 0.4 and colors:
+            c = rng.choice(colors)
+            g.contract(c, g.neighbors(c)[0])
+        elif r < 0.7 and colors:
+            c = rng.choice(colors)
+            u = next(x for x in g.color_members(c) if g.deg[x])
+            g.delete_edge(u, HybridGraph.neighbors(g, u)[0])
+        elif act:
+            g.delete_vertex(rng.choice(act))
+        return
+    live = [(v, w) for v in act for w in g.al[v][: g.deg[v]]
+            if v < w and (v, w) not in edited]
+    if isinstance(g, AdditionGraph) and rng.random() < 0.5:
+        pairs = [(u, v) for i, u in enumerate(act) for v in act[i + 1:]
+                 if (u, v) not in edited and not g.is_adjacent(u, v)]
+        if pairs:
+            pair = rng.choice(pairs)
+            edited.add(pair)
+            g.add_edge(*pair)
+    elif live and rng.random() < 0.7:
+        pair = rng.choice(live)
+        edited.add(pair)
+        g.delete_edge(*pair)
+    else:
+        # addition mode may only delete a vertex without added edges
+        free = [v for v in act if not isinstance(g, AdditionGraph)
+                or not g.ndeg[v]]
+        if free:
+            g.delete_vertex(rng.choice(free))
+
+
+@pytest.mark.parametrize("cls", [HybridGraph, AdditionGraph, ContractionGraph])
+def test_restore_covers_every_undo_vector(cls):
+    # every slot of the mode, inherited ones included, outside the
+    # global tables must come back from restore()
+    names = {name for k in cls.__mro__ for name in getattr(k, "__slots__", ())}
+    names -= GLOBAL_TABLES
+    assert {"deg", "n_c"} <= names
+    rng = random.Random(4417)
+    for trial in range(40):
+        n = rng.randrange(2, 16)
+        _, edges = gnm(n, rng.randrange(0, n * (n - 1) // 2 + 1),
+                       rng.randrange(1 << 30))
+        g = cls(n, edges)
+        edited = set()
+        for _ in range(rng.randrange(0, 6)):
+            _random_edit(g, rng, edited)
+        before = {name: copy.copy(getattr(g, name)) for name in names}
+        s = g.snapshot()
+        for _ in range(rng.randrange(1, 12)):
+            _random_edit(g, rng, edited)
+        g.restore(s)
+        assert {name: getattr(g, name) for name in names} == before

@@ -94,9 +94,9 @@ def _tables(g):
     if isinstance(g, BaselineGraph):
         return (g.nbr, g.owner, g.prv, g.nxt, g.head, g.deg, g.active,
                 g.n_active, g.log)
-    f = g.frame
-    return (g.al, g.im, g.vlist, g.idxlist, f.deg, f.n_c, f.ndeg,
-            f.vcolor, f.cc, f.cd, getattr(g, "csl", None))
+    return (g.al, g.im, g.vlist, g.idxlist, g.deg, g.n_c,
+            *(getattr(g, name, None)   # mode-specific tables
+              for name in ("ndeg", "vcolor", "cc", "cd", "csl")))
 
 
 def _random_op(rng, g, mode, edited):
@@ -192,7 +192,7 @@ def test_counter_dict_roundtrip():
 
 _README_PROBE = """
 import json
-from hybridgraph import AdditionGraph, HybridGraph
+from hybridgraph import AdditionGraph, ContractionGraph, HybridGraph
 from hybridgraph.instrumented import counting
 
 def cost(g, op, *args):
@@ -218,6 +218,13 @@ out["add_edge"] = cost(a, "add_edge", 0, 7)
 out["addition is_adjacent tail hit"] = cost(a, "is_adjacent", 0, 7)
 s = a.snapshot()
 out["addition restore"] = cost(a, "restore", s)
+c = counting(ContractionGraph)(n, edges)
+s = c.snapshot()
+out["contraction snapshot"] = [c.counters.reads["snapshot"],
+                               c.counters.writes["snapshot"]]
+out["contract"] = cost(c, "contract", 0, 1)
+out["delete_vertex of a color"] = cost(c, "delete_vertex", 2)
+out["contraction restore"] = cost(c, "restore", s)
 print(json.dumps(out))
 """
 
@@ -236,6 +243,14 @@ def test_readme_costs_without_asserts():
             "addition restore": [2 * n, 2 * n]}
     for d in (1, 3, 0):
         want[f"delete_vertex d={d}"] = [3 + 4 * d, 5 + 5 * d]
+    want["contraction snapshot"] = want["contraction restore"] = [4 * n, 4 * n]
+    # contract(0, 1): cc_u = cc_v = 1, cd_u = 3, cd_v = 2, and r = 1
+    # (color 2); color 2 then has cc = 1 and cd = 2 (colors 0 and 3)
+    su, du, sv, dv, r = 1, 3, 1, 2, 1
+    want["contract"] = [14 + 2 * (su + du) + 3 * sv + 2 * dv + 7 * r,
+                        18 + 2 * sv + 11 * r]
+    cc, cd = 1, 2
+    want["delete_vertex of a color"] = [3 + 2 * cc + 6 * cd, 6 + cc + 6 * cd]
     assert got == want
 
 
@@ -251,7 +266,6 @@ def test_contraction_ops_counted():
     # color degrees of both sides plus r, the colors adjacent to both
     rng = random.Random(7)
     g = counting(ContractionGraph)(n, edges)
-    f = g.frame
     g.snapshot()  # deg, vcolor, cc and cd
     assert g.counters.accesses("snapshot") == 2 * (4 * n)
     checked = 0
@@ -259,13 +273,13 @@ def test_contraction_ops_counted():
         c = rng.choice([c for c in g.active_vertices() if g.degree(c)])
         c0 = g.counters.as_dict()
         if rng.random() < 0.3:
-            cc, cd = f.cc[c], f.cd[c]
+            cc, cd = g.cc[c], g.cd[c]
             g.delete_vertex(c)
             want = {"delete_vertex": (3 + 2 * cc + 6 * cd + (1 + cd) * __debug__,
                                      6 + cc + 6 * cd)}
         else:
             cv = g.neighbors(c)[0]
-            su, sv, du, dv = f.cc[c], f.cc[cv], f.cd[c], f.cd[cv]
+            su, sv, du, dv = g.cc[c], g.cc[cv], g.cd[c], g.cd[cv]
             r = len(set(g.neighbors(c)) & set(g.neighbors(cv)))
             g.contract(c, cv)
             want = {"contract": (14 + 2 * (su + du) + 3 * sv + 2 * dv + 7 * r
