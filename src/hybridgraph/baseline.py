@@ -17,17 +17,21 @@ get).
 
 The solver-facing surface matches the hybrid classes: is_adjacent,
 neighbors, degree, active_vertices, delete_edge, delete_vertex,
-add_edge, max_degree_vertex, snapshot/restore.  Activity is a flag
-array, so whole-graph scans cost O(n) rather than O(active).
+add_edge, max_degree_vertex, snapshot/restore.  Activity is the
+hybrid's sparse set (``vlist`` / ``idxlist`` / ``n_c``, Briggs &
+Torczon 1993), queried by ``HybridGraph``'s own bodies, so whole-graph
+scans cost O(active) here too and the two representations differ only
+in adjacency and undo.  Undo is last-in, first-out, so a deleted vertex
+is back at ``vlist[n_c]`` when its record is undone: ``n_c += 1``.
 """
 
-from .core import DuplicateEdgeError, SelfLoopError, VertexRangeError
+from .core import DuplicateEdgeError, HybridGraph, SelfLoopError, VertexRangeError
 
 
 class BaselineGraph:
     __slots__ = (
         "n", "nbr", "owner", "prv", "nxt", "head",
-        "deg", "active", "n_active", "log",
+        "deg", "vlist", "idxlist", "n_c", "log",
     )
 
     def __init__(self, n, edges):
@@ -40,8 +44,9 @@ class BaselineGraph:
         self.nxt = []
         self.head = [-1] * n
         self.deg = [0] * n
-        self.active = [True] * n
-        self.n_active = n
+        self.vlist = list(range(n))
+        self.idxlist = list(range(n))
+        self.n_c = n
         self.log = []
         seen = set()
         for e in edges:
@@ -71,9 +76,6 @@ class BaselineGraph:
         self.deg[o] += 1
         return c
 
-    def __repr__(self):
-        return f"BaselineGraph(n={self.n}, active={self.n_active})"
-
     # -- queries ------------------------------------------------------
 
     def is_adjacent(self, u, v):
@@ -97,35 +99,16 @@ class BaselineGraph:
             c = nxt[c]
         return out
 
-    def degree(self, v):
-        return self.deg[v]
-
-    def active_vertices(self):
-        active = self.active
-        return [v for v in range(self.n) if active[v]]
-
-    def active_count(self):
-        return self.n_active
-
-    def is_active(self, v):
-        return self.active[v]
-
-    def active_edge_count(self):
-        deg = self.deg
-        active = self.active
-        return sum(deg[v] for v in range(self.n) if active[v]) // 2
-
-    def max_degree_vertex(self):
-        if self.n_active == 0:
-            return None
-        deg = self.deg
-        best = -1
-        best_d = -1
-        for v in range(self.n):
-            if self.active[v] and deg[v] > best_d:
-                best = v
-                best_d = deg[v]
-        return best
+    # activity: the hybrid's sparse set, queried by the hybrid's bodies
+    __repr__ = HybridGraph.__repr__
+    degree = HybridGraph.degree
+    active_vertices = HybridGraph.active_vertices
+    active_count = HybridGraph.active_count
+    is_active = HybridGraph.is_active
+    active_edge_count = HybridGraph.active_edge_count
+    max_degree_vertex = HybridGraph.max_degree_vertex
+    _max_degree = HybridGraph._max_degree
+    _retire = HybridGraph._retire
 
     # -- chain surgery ------------------------------------------------
 
@@ -178,9 +161,8 @@ class BaselineGraph:
     def delete_vertex(self, v):
         """Unlink v's twin cell from each neighbor's chain and empty v's
         own chain; the log record keeps v's old head for restore."""
-        assert self.active[v], f"delete_vertex on inactive vertex {v}"
-        self.active[v] = False
-        self.n_active -= 1
+        assert self.idxlist[v] < self.n_c, f"delete_vertex on inactive vertex {v}"
+        self._retire(v)
         nbr = self.nbr
         nxt = self.nxt
         prv = self.prv
@@ -257,5 +239,5 @@ class BaselineGraph:
                 v = rec[1]
                 deg[v] = rec[2]
                 head[v] = rec[4]
-                self.active[v] = True
-                self.n_active += 1
+                assert self.vlist[self.n_c] == v, "undo out of order"
+                self.n_c += 1

@@ -29,11 +29,14 @@ Row keys: problem (vc | vc-parm | ds | ce), and one of generator/path;
 optional name, k (int, or "planted" with a ce generator), fold,
 reprs, reps, timeout_s, complement, optional (skip silently when the
 path is missing: used for large instance files that are fetched
-separately), counters.  ``defaults`` takes the same keys.  Before any
-row runs, the manifest is rejected with a ValueError naming the row and
-the key if ``defaults`` or a row holds any other key or a value
-outside ``VALUE_RULES``: k an int >= 0 or "planted", reps an int >= 1,
-timeout_s null or a number >= 0 (a JSON boolean is none of these).
+separately), counters.  ``defaults`` takes the same keys, and a row's
+own value of a key wins over the default.  Before any row runs, the
+manifest is rejected with a ValueError naming the row and the key if
+``defaults`` or a row holds any other key or a value outside
+``VALUE_RULES``: k an int >= 0 or "planted", reps an int >= 1,
+timeout_s null or a number >= 0 (a JSON boolean is none of these);
+fold, complement, optional and counters JSON booleans; reprs a
+non-empty list of distinct names from ``REPR_NAMES``.
 """
 
 import csv
@@ -50,6 +53,7 @@ from .solvers import (
     solve_vc_opt,
     solve_vc_parm,
 )
+from .solvers.common import REPR_NAMES
 
 PROBLEMS = ("vc", "vc-parm", "ds", "ce")
 
@@ -105,10 +109,10 @@ def config_hash(payload):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _load_row_instance(row, base_dir):
+def _load_row_instance(cfg, base_dir):
     """Materialize the row's graph.  Returns (spec, seed, planted_k)."""
-    gen = row.get("generator")
-    path = row.get("path")
+    gen = cfg.get("generator")
+    path = cfg.get("path")
     if (gen is None) == (path is None):
         raise ValueError("row needs exactly one of 'generator' or 'path'")
     if gen is not None:
@@ -122,14 +126,14 @@ def _load_row_instance(row, base_dir):
             return spec, gen["seed"], planted
         raise ValueError(f"unknown generator kind {kind!r}")
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-    spec, _warnings = read_instance(full, complement=row.get("complement", False))
+    spec, _warnings = read_instance(full, complement=cfg.get("complement", False))
     return spec, None, None
 
 
-def _base_record(row, cfg):
+def _base_record(cfg):
     return {
-        "name": row.get("name", ""),
-        "problem": row["problem"],
+        "name": cfg.get("name", ""),
+        "problem": cfg.get("problem", ""),
         "repr": "",
         "answer": "",
         "size": "",
@@ -148,26 +152,27 @@ def _base_record(row, cfg):
 
 def run_row(row, defaults, base_dir):
     """Execute one manifest row.  Returns a list of record dicts, one
-    per representation (or a single error/skipped record)."""
+    per representation (or a single error/skipped record).  Every key
+    is read from the row merged over ``defaults``."""
     cfg = dict(defaults)
     cfg.update(row)
-    problem = row.get("problem")
+    problem = cfg.get("problem")
     try:
         if problem not in PROBLEMS:
             raise ValueError(f"unknown problem {problem!r}")
-        path = row.get("path")
+        path = cfg.get("path")
         if (
-            row.get("optional", False)
+            cfg.get("optional", False)
             and path is not None
             and not os.path.exists(
                 path if os.path.isabs(path) else os.path.join(base_dir, path))
         ):
-            rec = _base_record(row, cfg)
+            rec = _base_record(cfg)
             rec["status"] = "skipped"
             rec["error"] = f"missing optional file {path}"
             return [rec]
-        spec, seed, planted = _load_row_instance(row, base_dir)
-        k = row.get("k")
+        spec, seed, planted = _load_row_instance(cfg, base_dir)
+        k = cfg.get("k")
         if k == "planted":
             if planted is None:
                 raise ValueError("'planted' k needs a ce generator")
@@ -177,17 +182,17 @@ def run_row(row, defaults, base_dir):
         reprs = cfg.get("reprs", ["hybrid", "alist"])
         reps = cfg.get("reps", 3)
         timeout = cfg.get("timeout_s")
-        fold = bool(cfg.get("fold", False))
-        name = row.get("name") or spec.name
+        fold = cfg.get("fold", False)
+        name = cfg.get("name") or spec.name
     except (ValueError, OSError, KeyError) as exc:
-        rec = _base_record(row, cfg)
+        rec = _base_record(cfg)
         rec["status"] = "error"
         rec["error"] = str(exc)
         return [rec]
 
     runs = []   # (record, results) per representation
     for repr_name in reprs:
-        rec = _base_record(row, cfg)
+        rec = _base_record(cfg)
         rec["name"] = name
         rec["repr"] = repr_name
         rec["config_hash"] = config_hash({
@@ -262,6 +267,11 @@ VALUE_RULES = (
     ("reps", "an int >= 1", lambda x: type(x) is int and x >= 1),
     ("timeout_s", "null or a number >= 0",
      lambda x: x is None or type(x) in (int, float) and x >= 0),
+    *((key, "true or false", lambda x: type(x) is bool)
+      for key in ("fold", "complement", "optional", "counters")),
+    ("reprs", f"a non-empty list of distinct names from {REPR_NAMES}",
+     lambda x: type(x) is list and x != [] and all(r in REPR_NAMES for r in x)
+     and len(set(x)) == len(x)),
 )
 
 

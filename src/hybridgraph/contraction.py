@@ -116,18 +116,6 @@ class ContractionGraph(HybridGraph):
         self.cd[cu] -= 1
         self.cd[cv] -= 1
 
-    def _retire_color(self, c):
-        vlist = self.vlist
-        idxlist = self.idxlist
-        last = self.n_c - 1
-        i = idxlist[c]
-        w = vlist[last]
-        vlist[i] = w
-        idxlist[w] = i
-        vlist[last] = c
-        idxlist[c] = last
-        self.n_c = last
-
     def contract(self, cu, cv):
         """Merge color cv into color cu; the two must be distinct,
         active, and adjacent.  Returns the number of member edges
@@ -188,7 +176,7 @@ class ContractionGraph(HybridGraph):
             members_u[base + idx] = b
         cc[cu] = base + cc[cv]
         cc[cv] = 0
-        self._retire_color(cv)
+        self._retire(cv)
         return deleted
 
     def delete_vertex(self, c):
@@ -225,7 +213,7 @@ class ContractionGraph(HybridGraph):
             deg[b] = 0
         cd[c] = 0
         self.cc[c] = 0
-        self._retire_color(c)
+        self._retire(c)
 
     # -- undo ---------------------------------------------------------
 

@@ -197,6 +197,21 @@ class HybridGraph:
             deg[u] = k
         deg[v] = 0
 
+    def _retire(self, v):
+        """Swap active v to the end of the active prefix and shrink the
+        prefix.  ``delete_vertex`` above inlines the same swap; undo
+        reactivates v by growing the prefix again."""
+        vlist = self.vlist
+        idxlist = self.idxlist
+        last = self.n_c - 1
+        i = idxlist[v]
+        w = vlist[last]
+        vlist[i] = w
+        idxlist[w] = i
+        vlist[last] = v
+        idxlist[v] = last
+        self.n_c = last
+
     # -- undo ---------------------------------------------------------
 
     def snapshot(self):

@@ -5,11 +5,12 @@ runs the plain op bodies as they are.  Its constructor builds the graph
 normally and then swaps every cell array for a ``Cells`` list that adds
 each index, slice and copy to one shared ``[reads, writes]`` tally:
 
-- hybrid modes: the rows of ``al``, ``im`` and ``csl``, ``vlist`` /
-  ``idxlist``, and the search-local vectors ``deg``, ``ndeg``,
-  ``vcolor``, ``cc`` and ``cd`` that the graph's mode has;
-- baseline: ``nbr``, ``owner``, ``prv``, ``nxt``, ``head``, ``deg`` and
-  ``active``.
+- both representations: the sparse active set ``vlist`` / ``idxlist``
+  and ``deg``;
+- hybrid modes: the rows of ``al``, ``im`` and ``csl``, and the
+  search-local vectors ``ndeg``, ``vcolor``, ``cc`` and ``cd`` that the
+  graph's mode has;
+- baseline: ``nbr``, ``owner``, ``prv``, ``nxt`` and ``head``.
 
 Reads made by ``assert`` guards are counted too (``python -O`` drops
 them).  Every public method is wrapped with a depth guard: the
@@ -20,8 +21,6 @@ counted work.  Cells touched outside any op are not charged.
 """
 
 import functools
-
-from .baseline import BaselineGraph
 
 
 class OpCounters:
@@ -94,17 +93,14 @@ class Cells(list):
 
 
 def _count_cells(g, tally):
-    """Swap the cell arrays of a built graph for counting ones."""
-    if isinstance(g, BaselineGraph):
-        names = ("nbr", "owner", "prv", "nxt", "head", "deg", "active")
-    else:
-        for name in ("al", "im", "csl"):
-            rows = getattr(g, name, None)   # csl: contraction mode only
-            if rows is not None:
-                rows[:] = [Cells(tally, row) for row in rows]
-        # ndeg: addition mode only; vcolor, cc, cd: contraction mode only
-        names = ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc", "cd")
-    for name in names:
+    """Swap the cell arrays of a built graph for counting ones; each
+    representation and mode has only some of the names below."""
+    for name in ("al", "im", "csl"):
+        rows = getattr(g, name, None)
+        if rows is not None:
+            rows[:] = [Cells(tally, row) for row in rows]
+    for name in ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc", "cd",
+                 "nbr", "owner", "prv", "nxt", "head"):
         cells = getattr(g, name, None)
         if cells is not None:
             setattr(g, name, Cells(tally, cells))

@@ -312,7 +312,11 @@ def test_bench_rejects_unknown_keys(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("k", "x"), ("k", True), ("k", 2.5), ("reps", 2.5), ("timeout_s", "5")])
+    ("k", "x"), ("k", True), ("k", 2.5), ("reps", 2.5), ("timeout_s", "5"),
+    ("fold", "false"), ("complement", 0), ("optional", "true"),
+    ("counters", 1), ("reprs", "hybrid"), ("reprs", []),
+    ("reprs", ["hybrid", "hybrid"]), ("reprs", ["hybrid", "matrix"]),
+    ("reprs", [["hybrid"]])])
 def test_bench_rejects_malformed_values(runner, tmp_path, key, value):
     gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
     path = _manifest(tmp_path, [{"problem": "vc-parm", "k": 3, "generator": gen},
@@ -322,6 +326,20 @@ def test_bench_rejects_malformed_values(runner, tmp_path, key, value):
     assert res.exit_code == 2
     assert f"row 1: {key} must be" in res.stderr
     assert res.stdout == ""
+
+
+def test_bench_row_reads_defaults(tmp_path):
+    gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
+    path = _manifest(tmp_path, [{"problem": "vc-parm", "generator": gen}],
+                     defaults={"k": 6, "reps": 1})
+    records, all_ok = run_manifest(path)
+    assert all_ok
+    assert [(r["repr"], r["k"]) for r in records] == [("hybrid", 6), ("alist", 6)]
+    # a row with no problem anywhere is an error row, not a crash
+    records, all_ok = run_manifest(_manifest(tmp_path, [{"generator": gen}]))
+    assert not all_ok
+    assert [(r["status"], r["error"]) for r in records] == [
+        ("error", "unknown problem None")]
 
 
 def test_bench_csv_round_trip(tmp_path):

@@ -92,8 +92,8 @@ def test_addition_mode_costs():
 
 def _tables(g):
     if isinstance(g, BaselineGraph):
-        return (g.nbr, g.owner, g.prv, g.nxt, g.head, g.deg, g.active,
-                g.n_active, g.log)
+        return (g.nbr, g.owner, g.prv, g.nxt, g.head, g.deg, g.vlist,
+                g.idxlist, g.n_c, g.log)
     return (g.al, g.im, g.vlist, g.idxlist, g.deg, g.n_c,
             *(getattr(g, name, None)   # mode-specific tables
               for name in ("ndeg", "vcolor", "cc", "cd", "csl")))
@@ -175,6 +175,29 @@ def test_star_center_deletion_hybrid_beats_baseline():
     assert hy <= 17 * 2
     assert ba > hy
     assert ba > 50  # chain walk dominates
+
+
+def test_baseline_activity_scans_cost_active_count():
+    # with all but a few vertices deleted, the baseline's whole-graph
+    # scans read the active prefix, not every vertex
+    n, edges = gnm(200, 400, 3)
+    g = counting(BaselineGraph)(n, edges)
+    keep = 5
+    for v in range(n - keep):
+        g.delete_vertex(v)
+    n_c = g.active_count()
+    assert n_c == keep
+    c = g.counters
+
+    def cost(op):
+        before = c.accesses(op)
+        getattr(g, op)()
+        return c.accesses(op) - before
+
+    assert cost("active_vertices") == n_c
+    assert cost("max_degree_vertex") == 2 * n_c   # vlist and deg per vertex
+    assert cost("active_edge_count") == 2 * n_c
+    assert g.max_degree_vertex() in g.active_vertices()
 
 
 def test_counter_dict_roundtrip():
