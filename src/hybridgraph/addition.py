@@ -68,18 +68,10 @@ class AdditionGraph(HybridGraph):
         return sum(deg[v] + ndeg[v] for v in self.vlist[: self.n_c]) // 2
 
     def max_degree_vertex(self):
-        if self.n_c == 0:
-            return None
         deg = self.deg
         ndeg = self.ndeg
-        best = self.vlist[0]
-        best_d = deg[best] + ndeg[best]
-        for v in self.vlist[1 : self.n_c]:
-            d = deg[v] + ndeg[v]
-            if d > best_d or (d == best_d and v < best):
-                best = v
-                best_d = d
-        return best
+        return self._max_degree(
+            {v: deg[v] + ndeg[v] for v in self.active_vertices()})
 
     def add_edge(self, u, v):
         """Permanently add non-adjacent pair (u,v) on this search path."""

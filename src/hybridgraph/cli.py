@@ -58,9 +58,8 @@ def main():
 @click.option("--counters", is_flag=True,
               help="Add an instrumented run and report operation counters.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the record as JSON.")
-@click.option("--csv", "as_csv", is_flag=True, help="Emit the record as CSV.")
 def solve(problem, input_path, repr_name, k, fold, complement,
-          timeout_s, counters, as_json, as_csv):
+          timeout_s, counters, as_json):
     """Solve one instance and print the result record."""
     if k is None and problem in ("vc-parm", "ce"):
         _fail(f"{problem} requires --k")
@@ -96,11 +95,6 @@ def solve(problem, input_path, repr_name, k, fold, complement,
     })
     if as_json:
         click.echo(json.dumps(record, indent=2, default=str))
-    elif as_csv:
-        import csv as csvmod
-        writer = csvmod.DictWriter(sys.stdout, fieldnames=sorted(record))
-        writer.writeheader()
-        writer.writerow({key: "" if v is None else v for key, v in record.items()})
     else:
         if problem in ("vc", "ds"):
             head = f"{problem} {spec.name}: size {res.size}"

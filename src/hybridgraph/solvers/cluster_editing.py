@@ -24,7 +24,7 @@ class _EditSearch(Search):
     def _drop_clique_components(self):
         g = self.g
         seen = set()
-        for v in sorted(g.active_vertices()):
+        for v in g.active_vertices():
             if v in seen:
                 continue
             comp = {v}
@@ -37,7 +37,7 @@ class _EditSearch(Search):
                         queue.append(y)
             seen |= comp
             if all(g.degree(x) == len(comp) - 1 for x in comp):
-                for x in sorted(comp):
+                for x in comp:
                     g.delete_vertex(x)
 
     def _first_conflict_and_bound(self):

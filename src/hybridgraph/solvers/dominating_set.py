@@ -4,10 +4,19 @@ The instance becomes a bipartite graph on 2n vertices: vertex i < n is
 the candidate set "closed neighborhood of i", vertex n + j is the
 element "j still needs domination", and an edge (i, n + j) means i
 dominates j.  Including a set deletes it and every element it covers;
-excluding a set just deletes it.  Elements of frequency one force
-their set; elements of frequency zero kill the branch.  The bound is
-elements-left over largest-set-size.  Branching picks the largest set
-(lowest id on ties), so node counts are representation-independent.
+excluding a set just deletes it.
+
+Each round is one unsorted scan of the active vertices (``_scan``).
+Elements of frequency zero kill the branch, empty sets are deleted,
+and every element of frequency one forces its set.  All forced sets
+are taken in one pass: including a set deletes the elements it covers
+and no other element's frequency changes, so the forced sets are the
+same whatever the order, and an element already covered by an earlier
+forced set is skipped.  One more scan, only if a set was forced, gives
+the bound, elements left over largest-set size, and the branching set:
+the largest set, lowest id on ties.  The rule breaks ties explicitly,
+so node counts do not depend on the scan order and are
+representation-independent.
 """
 
 from .common import Search, build_representation, timed
@@ -28,36 +37,47 @@ class _CoverSearch(Search):
         self.n = n
         self.best = None
 
-    def _sets_and_elements(self):
+    def _scan(self):
+        """One pass over the active vertices.  Returns the number of
+        elements left (None if some element has no set left), the
+        elements of frequency one, the empty sets, and the largest set
+        (lowest id on ties) with its size."""
+        g = self.g
         n = self.n
-        sets = []
-        elems = []
-        for v in self.g.active_vertices():
-            (sets if v < n else elems).append(v)
-        return sets, elems
+        left = 0
+        ones = []
+        empty = []
+        pick = None
+        size = 0
+        for v in g.active_vertices():
+            d = g.degree(v)
+            if v >= n:
+                if d == 0:
+                    return None, ones, empty, pick, size
+                left += 1
+                if d == 1:
+                    ones.append(v)
+            elif d == 0:
+                empty.append(v)
+            elif d > size or (d == size and v < pick):
+                pick = v
+                size = d
+        return left, ones, empty, pick, size
 
     def _include(self, s):
         g = self.g
         self.trail.append(s)
-        for e in sorted(g.neighbors(s)):
+        for e in g.neighbors(s):
             g.delete_vertex(e)
         g.delete_vertex(s)
 
     def greedy(self):
         g = self.g
         snap = g.snapshot()
-        while True:
-            sets, elems = self._sets_and_elements()
-            if not elems:
-                break
-            best_s = None
-            best_d = 0
-            for s in sorted(sets):
-                d = g.degree(s)
-                if d > best_d:
-                    best_s = s
-                    best_d = d
-            self._include(best_s)
+        left, _, _, pick, _ = self._scan()
+        while left:
+            self._include(pick)
+            left, _, _, pick, _ = self._scan()
         g.restore(snap)
         cover, self.trail = self.trail, []
         return cover
@@ -76,41 +96,23 @@ class _CoverSearch(Search):
             self._include(s)
         for s in drop:
             g.delete_vertex(s)
-        while True:
-            reduced = False
-            sets, elems = self._sets_and_elements()
-            for e in sorted(elems):
-                d = g.degree(e)
-                if d == 0:
-                    return
-                if d == 1:
+        left, ones, empty, pick, size = self._scan()
+        if left is None:
+            return
+        for s in empty:
+            g.delete_vertex(s)
+        if ones:
+            for e in ones:
+                if g.is_active(e):
                     self._include(g.neighbors(e)[0])
-                    reduced = True
-                    break
-            if not reduced:
-                for s in sorted(sets):
-                    if g.degree(s) == 0:
-                        g.delete_vertex(s)
-                        reduced = True
-            if not reduced:
-                break
-        sets, elems = self._sets_and_elements()
-        if not elems:
+            left, _, _, pick, size = self._scan()
+        if not left:
             if len(trail) < len(self.best):
                 self.best = list(trail)
-        elif sets:
-            max_card = 0
-            pick = None
-            for s in sorted(sets):
-                d = g.degree(s)
-                if d > max_card:
-                    max_card = d
-                    pick = s
-            need = -(-len(elems) // max_card) if max_card else len(elems)
-            if max_card and len(trail) + need < len(self.best):
-                self.node((pick,))
-                if len(trail) + 1 < len(self.best):
-                    self.node((), (pick,))
+        elif len(trail) + -(-left // size) < len(self.best):
+            self.node((pick,))
+            if len(trail) + 1 < len(self.best):
+                self.node((), (pick,))
 
 
 def solve_ds_opt(n, edges, repr_name="hybrid", timeout=None,

@@ -11,8 +11,15 @@ from helpers import G8_AL, G8_DEG, G8_EDGES, G8_N, gnm
 from mirrors import EdgeSetMirror
 
 
+def max_degree_vertex(mirror):
+    """Active vertex of maximum degree, lowest id on ties, or None."""
+    return min(mirror.active, key=lambda v: (-mirror.degree(v), v),
+               default=None)
+
+
 def check_against(g, mirror):
     assert set(g.active_vertices()) == mirror.active
+    assert g.max_degree_vertex() == max_degree_vertex(mirror)
     act = sorted(mirror.active)
     for i, u in enumerate(act):
         assert g.degree(u) == mirror.degree(u)
@@ -156,6 +163,8 @@ def test_randomized_against_mirror():
                 g.add_edge(u, v)
                 mirror.add_edge(u, v)
                 edited.add((u, v))
+            if op in ("del", "add"):
+                assert g.max_degree_vertex() == max_degree_vertex(mirror)
         check_against(g, mirror)
         while stack:
             snap, saved, edited = stack.pop()

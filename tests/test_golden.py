@@ -37,6 +37,11 @@ VC_PARM = [
 DS = [
     (5, (4, 7, [1, 2, 4, 5])),
     (8, (3, 12, [4, 6, 7])),
+    # a reduction pass takes two or more forced sets
+    (6, (3, 16, [2, 6, 11])),
+    # two frequency-1 elements share their only set, so the pass skips
+    # the one the first inclusion already covered
+    (9, (4, 25, [0, 2, 4, 11])),
 ]
 
 # gen_cluster_editing(12, 3, 5, seed), planted budget 5, at k = 5 and 4
