@@ -1,19 +1,15 @@
 """Classical adjacency-list baseline with an explicit undo log.
 
 Index-chained doubly-linked neighbor lists: cell i stores a neighbor id
-(``nbr``), its owning vertex (``owner``), and chain links (``prv`` /
-``nxt``); ``head[v]`` starts v's chain.  Two cells per edge, no
-cross-pointers between them, so removing u from v's list means walking
-v's chain, which is what gives this structure its classical costs:
-adjacency O(d), edge deletion O(d), vertex deletion Theta(sum of
-neighbor degrees).
+(``nbr``) and chain links (``prv`` / ``nxt``); ``head[v]`` starts v's
+chain.  An edge's two cells are allocated back to back, so the twin of
+cell c is ``c ^ 1`` and its owner is ``nbr[c ^ 1]``.  The twin index
+gives the list its tuned costs: adjacency O(d) (a chain scan), edge
+deletion O(d_u) (one scan, then the twin), vertex deletion Theta(d).
 
-Every mutation appends inverse records to ``log``; ``snapshot()`` is
+Every mutation appends an inverse record to ``log``; ``snapshot()`` is
 the log length and ``restore(mark)`` pops records back to it.  Unlinked
-cells keep their own ``prv``/``nxt``, so relinking is O(1) per record
-(additions are also undone via their logged cells rather than a rescan,
-a small kindness the flat-array variant of this structure would not
-get).
+cells keep their own ``prv``/``nxt``, so relinking is O(1) per cell.
 
 The solver-facing surface matches the hybrid classes: is_adjacent,
 neighbors, degree, active_vertices, delete_edge, delete_vertex,
@@ -30,7 +26,7 @@ from .core import DuplicateEdgeError, HybridGraph, SelfLoopError, VertexRangeErr
 
 class BaselineGraph:
     __slots__ = (
-        "n", "nbr", "owner", "prv", "nxt", "head",
+        "n", "nbr", "prv", "nxt", "head",
         "deg", "vlist", "idxlist", "n_c", "log",
     )
 
@@ -39,7 +35,6 @@ class BaselineGraph:
             raise VertexRangeError(f"negative vertex count {n}")
         self.n = n
         self.nbr = []
-        self.owner = []
         self.prv = []
         self.nxt = []
         self.head = [-1] * n
@@ -63,10 +58,10 @@ class BaselineGraph:
             self._new_cell(v, u)
 
     def _new_cell(self, o, w):
-        """Prepend a cell (owner o, neighbor w) to o's chain."""
+        """Prepend a cell (neighbor w) to o's chain.  Called in twin
+        pairs, (u, v) then (v, u), so the twin of cell c is c ^ 1."""
         c = len(self.nbr)
         self.nbr.append(w)
-        self.owner.append(o)
         self.prv.append(-1)
         first = self.head[o]
         self.nxt.append(first)
@@ -113,54 +108,47 @@ class BaselineGraph:
     # -- chain surgery ------------------------------------------------
 
     def _unlink(self, c):
+        o = self.nbr[c ^ 1]
         p = self.prv[c]
         x = self.nxt[c]
         if p == -1:
-            self.head[self.owner[c]] = x
+            self.head[o] = x
         else:
             self.nxt[p] = x
         if x != -1:
             self.prv[x] = p
-        self.deg[self.owner[c]] -= 1
+        self.deg[o] -= 1
+
+    def _link(self, c):
+        """Put unlinked cell c back; it kept its own prv/nxt."""
+        o = self.nbr[c ^ 1]
+        p = self.prv[c]
+        x = self.nxt[c]
+        if p == -1:
+            self.head[o] = c
+        else:
+            self.nxt[p] = c
+        if x != -1:
+            self.prv[x] = c
+        self.deg[o] += 1
 
     # -- mutations ----------------------------------------------------
 
     def delete_edge(self, u, v):
         nbr = self.nbr
         nxt = self.nxt
-        prv = self.prv
-        head = self.head
-        deg = self.deg
-        cu = head[u]
+        cu = self.head[u]
         while cu != -1 and nbr[cu] != v:
             cu = nxt[cu]
-        cv = head[v]
-        while cv != -1 and nbr[cv] != u:
-            cv = nxt[cv]
-        assert cu != -1 and cv != -1, f"delete_edge on non-adjacent pair ({u},{v})"
-        p = prv[cu]
-        x = nxt[cu]
-        if p == -1:
-            head[u] = x
-        else:
-            nxt[p] = x
-        if x != -1:
-            prv[x] = p
-        deg[u] -= 1
-        p = prv[cv]
-        x = nxt[cv]
-        if p == -1:
-            head[v] = x
-        else:
-            nxt[p] = x
-        if x != -1:
-            prv[x] = p
-        deg[v] -= 1
-        self.log.append(("edge", cu, cv))
+        assert cu != -1, f"delete_edge on non-adjacent pair ({u},{v})"
+        self._unlink(cu)
+        self._unlink(cu ^ 1)
+        self.log.append(("edge", cu))
 
     def delete_vertex(self, v):
-        """Unlink v's twin cell from each neighbor's chain and empty v's
-        own chain; the log record keeps v's old head for restore."""
+        """Unlink the twin of each cell of v's chain from its
+        neighbor's chain and empty v's own chain; the log record keeps
+        v's old head, from which restore walks the twins back in."""
         assert self.idxlist[v] < self.n_c, f"delete_vertex on inactive vertex {v}"
         self._retire(v)
         nbr = self.nbr
@@ -168,14 +156,10 @@ class BaselineGraph:
         prv = self.prv
         head = self.head
         deg = self.deg
-        removed = []
         c = head[v]
         while c != -1:
             w = nbr[c]
-            cw = head[w]
-            while cw != -1 and nbr[cw] != v:
-                cw = nxt[cw]
-            assert cw != -1, f"no cell for {v} in the chain of {w}"
+            cw = c ^ 1
             p = prv[cw]
             x = nxt[cw]
             if p == -1:
@@ -185,9 +169,8 @@ class BaselineGraph:
             if x != -1:
                 prv[x] = p
             deg[w] -= 1
-            removed.append(cw)
             c = nxt[c]
-        self.log.append(("vertex", v, deg[v], removed, head[v]))
+        self.log.append(("vertex", v, deg[v], head[v]))
         deg[v] = 0
         head[v] = -1
 
@@ -197,8 +180,8 @@ class BaselineGraph:
         assert not BaselineGraph.is_adjacent(self, u, v), \
             f"add_edge on adjacent pair ({u},{v})"
         cu = self._new_cell(u, v)
-        cv = self._new_cell(v, u)
-        self.log.append(("add", cu, cv))
+        self._new_cell(v, u)
+        self.log.append(("add", cu))
 
     # -- undo ---------------------------------------------------------
 
@@ -210,34 +193,41 @@ class BaselineGraph:
         """Pop and invert log records back to a snapshot mark."""
         log = self.log
         assert 0 <= mark <= len(log), "mark from a different graph or future"
+        nbr = self.nbr
         nxt = self.nxt
         prv = self.prv
         head = self.head
-        owner = self.owner
         deg = self.deg
         while len(log) > mark:
             rec = log.pop()
             tag = rec[0]
-            if tag == "add":
-                self._unlink(rec[2])
-                self._unlink(rec[1])
-                continue
-            # relink in reverse order of removal; an unlinked cell kept
-            # its own prv/nxt, so each relink is O(1)
-            cells = reversed(rec[3]) if tag == "vertex" else (rec[2], rec[1])
-            for c in cells:
-                p = prv[c]
-                x = nxt[c]
-                if p == -1:
-                    head[owner[c]] = c
-                else:
-                    nxt[p] = c
-                if x != -1:
-                    prv[x] = c
-                deg[owner[c]] += 1
             if tag == "vertex":
+                # relink the twin of each cell of v's saved chain: no op
+                # touches v's cells while v is deleted (its twins left
+                # every neighbor's chain), and each twin goes back into a
+                # different neighbor's chain, so the order does not matter
+                c = rec[3]
+                while c != -1:
+                    w = nbr[c]
+                    cw = c ^ 1
+                    p = prv[cw]
+                    x = nxt[cw]
+                    if p == -1:
+                        head[w] = cw
+                    else:
+                        nxt[p] = cw
+                    if x != -1:
+                        prv[x] = cw
+                    deg[w] += 1
+                    c = nxt[c]
                 v = rec[1]
                 deg[v] = rec[2]
-                head[v] = rec[4]
+                head[v] = rec[3]
                 assert self.vlist[self.n_c] == v, "undo out of order"
                 self.n_c += 1
+            elif tag == "edge":
+                self._link(rec[1] ^ 1)
+                self._link(rec[1])
+            else:
+                self._unlink(rec[1] ^ 1)
+                self._unlink(rec[1])

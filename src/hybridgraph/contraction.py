@@ -49,17 +49,6 @@ class ContractionGraph(HybridGraph):
         self._stamp = [0] * n
         self._gen = 0
 
-    # -- colors -------------------------------------------------------
-
-    def color_members(self, c):
-        return self.csl[c][: self.cc[c]]
-
-    def color_size(self, c):
-        return self.cc[c]
-
-    def color_of(self, v):
-        return self.vcolor[v]
-
     # -- quotient queries ---------------------------------------------
 
     def degree(self, c):

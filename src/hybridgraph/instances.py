@@ -212,6 +212,8 @@ def _unrank_pair(offsets, t):
 def gen_random_gnm(n, m, seed):
     """Uniform simple graph with exactly m edges, deterministic in
     (n, m, seed)."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise ValueError(f"m must be within [0, {total}], got {m}")

@@ -10,7 +10,7 @@ each index, slice and copy to one shared ``[reads, writes]`` tally:
 - hybrid modes: the rows of ``al``, ``im`` and ``csl``, and the
   search-local vectors ``ndeg``, ``vcolor``, ``cc`` and ``cd`` that the
   graph's mode has;
-- baseline: ``nbr``, ``owner``, ``prv``, ``nxt`` and ``head``.
+- baseline: ``nbr``, ``prv``, ``nxt`` and ``head``.
 
 Reads made by ``assert`` guards are counted too (``python -O`` drops
 them).  Every public method is wrapped with a depth guard: the
@@ -100,7 +100,7 @@ def _count_cells(g, tally):
         if rows is not None:
             rows[:] = [Cells(tally, row) for row in rows]
     for name in ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc", "cd",
-                 "nbr", "owner", "prv", "nxt", "head"):
+                 "nbr", "prv", "nxt", "head"):
         cells = getattr(g, name, None)
         if cells is not None:
             setattr(g, name, Cells(tally, cells))

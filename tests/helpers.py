@@ -1,5 +1,6 @@
-"""Shared fixtures for the test suite: small named graphs and a local
-G(n,m) sampler that does not depend on the package's generators."""
+"""Shared fixtures for the test suite: small named graphs, a local
+G(n,m) sampler that does not depend on the package's generators, and
+member-level views of a ``ContractionGraph``'s colors."""
 
 import random
 from itertools import combinations
@@ -60,3 +61,16 @@ def gnm(n, m, seed):
     pairs = list(combinations(range(n), 2))
     rng = random.Random(seed)
     return n, rng.sample(pairs, m)
+
+
+def color_members(g, c):
+    """Member vertices of color c of a ContractionGraph."""
+    return g.csl[c][: g.cc[c]]
+
+
+def color_size(g, c):
+    return g.cc[c]
+
+
+def color_of(g, v):
+    return g.vcolor[v]

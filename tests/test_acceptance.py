@@ -31,6 +31,7 @@ from hybridgraph.solvers import (
     solve_vc_parm,
     verify_ce,
 )
+from helpers import color_members
 from mirrors import EdgeSetMirror, QuotientMirror
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -117,7 +118,7 @@ def _same_quotient(g, mir):
     if set(g.active_vertices()) != mir.colors():
         return False
     for c in mir.colors():
-        if set(g.color_members(c)) != mir.members[c]:
+        if set(color_members(g, c)) != mir.members[c]:
             return False
         if g.degree(c) != mir.degree(c):
             return False

@@ -23,6 +23,15 @@ def check_against(g, mirror):
     assert g.active_edge_count() == len(mirror.edges)
 
 
+def check_twins(g):
+    """Every live cell c of v's chain has its twin c ^ 1 owned by v."""
+    for v in g.active_vertices():
+        c = g.head[v]
+        while c != -1:
+            assert g.nbr[c ^ 1] == v
+            c = g.nxt[c]
+
+
 def test_build_matches_tables():
     g = BaselineGraph(G8_N, G8_EDGES)
     for v in range(8):
@@ -130,6 +139,7 @@ def test_randomized_against_mirror():
                 u, v = rng.choice(non)
                 g.add_edge(u, v)
                 mirror.add_edge(u, v)
+            check_twins(g)
         check_against(g, mirror)
         while stack:
             snap, saved = stack.pop()

@@ -174,6 +174,15 @@ def test_gen_gnm_infeasible(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_gen_gnm_rejects_negative_n(runner, tmp_path):
+    out = tmp_path / "x.el"
+    res = runner.invoke(main, ["gen", "gnm", "--n", "-3", "--m", "2",
+                               "--out", str(out)])
+    assert res.exit_code == 2
+    assert "n must be >= 0" in res.output
+    assert not out.exists()
+
+
 def test_gen_ce_writes_sidecar(runner, tmp_path):
     out = tmp_path / "planted.el"
     res = runner.invoke(

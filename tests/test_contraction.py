@@ -9,19 +9,19 @@ import pytest
 from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import HybridGraph
 
-from helpers import G8_EDGES, G8_N, gnm
+from helpers import G8_EDGES, G8_N, color_members, color_of, color_size, gnm
 from mirrors import QuotientMirror
 
 
 def check_quotient(g, mirror):
     assert set(g.active_vertices()) == set(mirror.members)
     for c in mirror.members:
-        assert set(g.color_members(c)) == mirror.members[c]
-        assert g.color_size(c) == len(mirror.members[c])
+        assert set(color_members(g, c)) == mirror.members[c]
+        assert color_size(g, c) == len(mirror.members[c])
         assert g.degree(c) == mirror.degree(c)
         assert set(g.neighbors(c)) == mirror.neighbor_colors(c)
         for x in mirror.members[c]:
-            assert g.color_of(x) == c
+            assert color_of(g, x) == c
     cols = sorted(mirror.members)
     for i, a in enumerate(cols):
         for b in cols[i + 1 :]:
@@ -31,9 +31,9 @@ def check_quotient(g, mirror):
     # live member edges: at most one between any two colors, none inside
     seen = set()
     for c in mirror.members:
-        for x in g.color_members(c):
+        for x in color_members(g, c):
             for y in HybridGraph.neighbors(g, x):
-                cx, cy = g.color_of(x), g.color_of(y)
+                cx, cy = color_of(g, x), color_of(g, y)
                 assert cx != cy
                 if x < y:
                     key = frozenset((cx, cy))
@@ -47,19 +47,19 @@ def test_initial_state_is_discrete_partition():
     g = ContractionGraph(G8_N, G8_EDGES)
     assert sorted(g.active_vertices()) == list(range(8))
     for v in range(8):
-        assert g.color_members(v) == [v]
+        assert color_members(g, v) == [v]
         assert g.degree(v) == HybridGraph.degree(g, v)
-        assert g.color_of(v) == v
+        assert color_of(g, v) == v
 
 
 def test_worked_contraction_sequence():
     g = ContractionGraph(G8_N, G8_EDGES)
     deleted = g.contract(3, 6)
     assert deleted == 1  # just the connector, no common neighbors
-    assert g.color_of(6) == 3
-    assert g.color_size(3) == 2
+    assert color_of(g, 6) == 3
+    assert color_size(g, 3) == 2
     assert g.degree(3) == 4
-    assert set(g.color_members(3)) == {3, 6}
+    assert set(color_members(g, 3)) == {3, 6}
     assert set(g.neighbors(3)) == {0, 2, 5, 7}
 
     deleted = g.contract(5, 7)
@@ -70,8 +70,8 @@ def test_worked_contraction_sequence():
 
     deleted = g.contract(2, 5)
     assert deleted == 2  # connector plus the duplicate toward color 3
-    assert g.color_of(5) == 2 and g.color_of(7) == 2
-    assert g.color_size(2) == 3
+    assert color_of(g, 5) == 2 and color_of(g, 7) == 2
+    assert color_size(g, 2) == 3
     assert set(g.neighbors(2)) == {0, 1, 3, 4}
     assert g.degree(2) == 4
 
@@ -134,7 +134,7 @@ def test_snapshot_restores_colors_and_degrees():
     assert set(g.active_vertices()) == {0, 1, 2, 3, 4, 5, 7}
     assert set(g.neighbors(3)) == {0, 2, 5, 7}
     assert g.degree(3) == 4
-    assert g.color_of(7) == 7
+    assert color_of(g, 7) == 7
     # member lists grow monotonically; stale tail entries are masked by cc
     assert g.csl[3][:2] == [3, 6]
 
@@ -177,9 +177,9 @@ def test_randomized_against_quotient_mirror():
                 a, b = rng.choice(sorted(tuple(sorted(e)) for e in mirror.qedges))
                 # pick live member endpoints of the connecting edge
                 nbrs = functools.partial(HybridGraph.neighbors, g)
-                u = next(x for x in g.color_members(a)
-                         if any(g.color_of(y) == b for y in nbrs(x)))
-                v = next(y for y in nbrs(u) if g.color_of(y) == b)
+                u = next(x for x in color_members(g, a)
+                         if any(color_of(g, y) == b for y in nbrs(x)))
+                v = next(y for y in nbrs(u) if color_of(g, y) == b)
                 g.delete_edge(u, v)
                 mirror.delete_edge(a, b)
         check_quotient(g, mirror)

@@ -17,7 +17,7 @@ from hybridgraph.core import (
     VertexRangeError,
 )
 
-from helpers import G8_AL, G8_DEG, G8_EDGES, G8_N, gnm
+from helpers import G8_AL, G8_DEG, G8_EDGES, G8_N, color_members, gnm
 from mirrors import EdgeSetMirror
 
 
@@ -248,7 +248,7 @@ def _random_edit(g, rng, edited):
             g.contract(c, g.neighbors(c)[0])
         elif r < 0.7 and colors:
             c = rng.choice(colors)
-            u = next(x for x in g.color_members(c) if g.deg[x])
+            u = next(x for x in color_members(g, c) if g.deg[x])
             g.delete_edge(u, HybridGraph.neighbors(g, u)[0])
         elif act:
             g.delete_vertex(rng.choice(act))

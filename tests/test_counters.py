@@ -21,6 +21,7 @@ from hybridgraph.addition import AdditionGraph
 from hybridgraph.baseline import BaselineGraph
 from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import HybridGraph
+from hybridgraph.instances import gen_random_gnm
 from hybridgraph.instrumented import counting
 from hybridgraph.solvers import build_representation, solve_vc_parm
 
@@ -92,8 +93,8 @@ def test_addition_mode_costs():
 
 def _tables(g):
     if isinstance(g, BaselineGraph):
-        return (g.nbr, g.owner, g.prv, g.nxt, g.head, g.deg, g.vlist,
-                g.idxlist, g.n_c, g.log)
+        return (g.nbr, g.prv, g.nxt, g.head, g.deg, g.vlist, g.idxlist,
+                g.n_c, g.log)
     return (g.al, g.im, g.vlist, g.idxlist, g.deg, g.n_c,
             *(getattr(g, name, None)   # mode-specific tables
               for name in ("ndeg", "vcolor", "cc", "cd", "csl")))
@@ -160,21 +161,89 @@ def test_counting_matches_plain(repr_name, mode):
     assert b.counters.total_accesses() > 0
 
 
-def test_star_center_deletion_hybrid_beats_baseline():
-    # K_{1,50}: deleting the oldest leaf forces the baseline to walk to
-    # the far end of the hub's 50-cell chain to find the twin cell; the
-    # hybrid pays a constant.  (Chains grow at the head, so leaf 1's
-    # twin sits deepest.)
+def test_star_leaf_deletion_cost_is_depth_free():
+    # K_{1,50}: chains grow at the head, so leaf 1's twin sits deepest in
+    # the hub's 50-cell chain and leaf 50's at its head.  The twin index
+    # c ^ 1 reaches either without a walk: both cost the same constant,
+    # within the one prv write that only a twin with a successor needs.
     n, edges = star(50)
-    h = counting(HybridGraph)(n, edges)
-    b = counting(BaselineGraph)(n, edges)
-    h.delete_vertex(1)
-    b.delete_vertex(1)
-    hy = h.counters.accesses("delete_vertex")
-    ba = b.counters.accesses("delete_vertex")
-    assert hy <= 17 * 2
-    assert ba > hy
-    assert ba > 50  # chain walk dominates
+    costs = []
+    for leaf in (1, 50):
+        h = counting(HybridGraph)(n, edges)
+        b = counting(BaselineGraph)(n, edges)
+        h.delete_vertex(leaf)
+        b.delete_vertex(leaf)
+        hy = h.counters.accesses("delete_vertex")
+        assert hy <= 17 * 2
+        costs.append(b.counters.accesses("delete_vertex"))
+    deepest, shallowest = costs
+    assert deepest == 10 + 8 + __debug__   # d = 1: 5 + 5d reads, 6 + 2d writes
+    assert shallowest == deepest + 1
+
+
+def test_baseline_delete_vertex_cost_is_order_free():
+    # every call costs 5 + 5d reads and 6 + 2d to 6 + 3d writes (one prv
+    # write per twin that has a successor), whatever was deleted before
+    spec = gen_random_gnm(100, 3000, 1000)
+    order = list(range(0, 100, 3))
+    reads = []
+    for vs in (order, order[::-1]):
+        g = counting(BaselineGraph)(spec.n, spec.edges)
+        c = g.counters
+        for v in vs:
+            d = g.degree(v)
+            r, w = c.reads.get("delete_vertex", 0), c.writes.get("delete_vertex", 0)
+            g.delete_vertex(v)
+            dr = c.reads["delete_vertex"] - r
+            dw = c.writes["delete_vertex"] - w
+            assert dr == 5 + 5 * d + __debug__
+            assert 6 + 2 * d <= dw <= 6 + 3 * d
+            assert dr + dw <= 11 + 8 * d + __debug__
+        reads.append(c.reads["delete_vertex"])
+    # the degrees at deletion time sum to the edges incident to the set
+    assert reads[0] == reads[1]
+
+
+def test_baseline_edge_and_restore_costs():
+    # the README's adjacency-list column: a chain scan to position j
+    # reads 2 + 2j cells (1 + 2d on a miss); every cell unlinked,
+    # relinked or prepended writes one more cell when it has a successor
+    rng = random.Random(41)
+    n, edges = gnm(30, 150, 4)
+    g = counting(BaselineGraph)(n, edges)
+    c = g.counters
+
+    def cost(op, *args):
+        r, w = c.reads.get(op, 0), c.writes.get(op, 0)
+        getattr(g, op)(*args)
+        return c.reads[op] - r, c.writes[op] - w
+
+    for _ in range(60):
+        s = g.snapshot()
+        u = rng.choice([x for x in g.active_vertices() if g.degree(x)])
+        nbrs = g.neighbors(u)   # chain order
+        j = rng.randrange(len(nbrs))
+        assert cost("is_adjacent", u, nbrs[j]) == (2 + 2 * j, 0)
+        r, w = cost("delete_edge", u, nbrs[j])
+        assert r == 10 + 2 * j and 4 <= w <= 6
+        r, w = cost("restore", s)
+        assert r == 8 and 4 <= w <= 6
+        miss = next(x for x in g.active_vertices()
+                    if x != u and x not in nbrs)
+        d = g.degree(u)
+        assert cost("is_adjacent", u, miss) == (1 + 2 * d, 0)
+        r, w = cost("add_edge", u, miss)
+        # one prv write per endpoint whose chain was not empty
+        assert r == 4 + (1 + 2 * d) * __debug__
+        assert w == 10 + (d > 0) + (g.degree(miss) > 1)
+        r, w = cost("restore", s)
+        assert r == 8 and 4 <= w <= 6
+        d = g.degree(u)
+        cost("delete_vertex", u)
+        r, w = cost("restore", s)
+        assert r == 5 * d + __debug__ and 2 + 2 * d <= w <= 2 + 3 * d
+        if g.active_edge_count() > 40:   # vary the chains between rounds
+            g.delete_vertex(u)
 
 
 def test_baseline_activity_scans_cost_active_count():

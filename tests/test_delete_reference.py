@@ -15,7 +15,7 @@ from hybridgraph.addition import AdditionGraph
 from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import HybridGraph
 
-from helpers import gnm
+from helpers import color_members, color_of, gnm
 
 
 def _swap_out(g, v):
@@ -127,7 +127,7 @@ def _member_edge(g, rng):
     if not cs:
         return None
     c = rng.choice(sorted(cs))
-    u = next(x for x in g.color_members(c) if g.deg[x])
+    u = next(x for x in color_members(g, c) if g.deg[x])
     return u, rng.choice(sorted(HybridGraph.neighbors(g, u)))
 
 
@@ -150,7 +150,7 @@ def test_delete_color_matches_per_edge_reference():
                 new.restore(sn)
                 ref.restore(sr)
             elif r < 0.55 and (e := _member_edge(new, rng)):
-                cu, cv = map(new.color_of, e)
+                cu, cv = (color_of(new, x) for x in e)
                 new.contract(cu, cv)
                 ref.contract(cu, cv)
             elif r < 0.7 and (e := _member_edge(new, rng)):

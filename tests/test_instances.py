@@ -146,6 +146,12 @@ def test_gnm_extremes():
         gen_random_gnm(6, 16, seed=0)
 
 
+def test_gnm_rejects_negative_n():
+    # n(n-1)/2 is 6 for n = -3, so the m check alone lets m = 2 through
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        gen_random_gnm(-3, 2, seed=0)
+
+
 def test_cluster_editing_zero_flips_is_disjoint_cliques():
     spec, planted = gen_cluster_editing(9, clusters=3, flips=0, seed=5)
     assert planted == 0
