@@ -10,6 +10,8 @@ deletion O(d_u) (one scan, then the twin), vertex deletion Theta(d).
 Every mutation appends an inverse record to ``log``; ``snapshot()`` is
 the log length and ``restore(mark)`` pops records back to it.  Unlinked
 cells keep their own ``prv``/``nxt``, so relinking is O(1) per cell.
+Undoing an ``add_edge`` frees its two cells, so the cell arrays are
+back at their build size whenever the log is empty.
 
 The solver-facing surface matches the hybrid classes: is_adjacent,
 neighbors, degree, active_vertices, delete_edge, delete_vertex,
@@ -229,5 +231,9 @@ class BaselineGraph:
                 self._link(rec[1] ^ 1)
                 self._link(rec[1])
             else:
-                self._unlink(rec[1] ^ 1)
-                self._unlink(rec[1])
+                # an add record's cells are the newest two: free them
+                cu = rec[1]
+                assert cu == len(nbr) - 2, "undo out of order"
+                self._unlink(cu ^ 1)
+                self._unlink(cu)
+                del nbr[cu:], prv[cu:], nxt[cu:]

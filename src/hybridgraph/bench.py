@@ -29,18 +29,26 @@ Row keys: problem (vc | vc-parm | ds | ce), and one of generator/path;
 optional name, k (int, or "planted" with a ce generator), fold,
 reprs, reps, timeout_s, complement, optional (skip silently when the
 path is missing: used for large instance files that are fetched
-separately), counters.  ``defaults`` takes the same keys, and a row's
-own value of a key wins over the default.  Before any row runs, the
-manifest is rejected with a ValueError naming the row and the key if
-``defaults`` or a row holds any other key or a value outside
-``VALUE_RULES``: k an int >= 0 or "planted", reps an int >= 1,
-timeout_s null or a number >= 0 (a JSON boolean is none of these);
-fold, complement, optional and counters JSON booleans; reprs a
-non-empty list of distinct names from ``REPR_NAMES``.
+separately).  ``defaults`` takes the same keys, and a row's own value
+of a key wins over the default.  Before any row runs, the manifest is
+rejected with a ValueError naming the row and the key if ``defaults``
+or a row holds any other key or a value outside ``VALUE_RULES``: k an
+int >= 0 or "planted", reps an int >= 1, timeout_s null or a number
+>= 0 (a JSON boolean is none of these); fold, complement and optional
+JSON booleans; reprs a non-empty list of distinct names from
+``REPR_NAMES``; generator an object of ``GENERATOR_KEYS`` with int
+values; path a string.
+
+A record is the first timed rep's ``SolverResult.as_dict()`` with
+``wall_ms`` replaced by the median over the reps, plus the row fields
+name, seed (the generator's), speedup (alist / hybrid wall_ms on an
+agreeing pair), status (ok | timeout | error | skipped) and error.  A
+row or representation that did not solve gives a record of the row
+fields, problem and repr only.  A missing value is None.  With
+``counters``, one extra untimed instrumented run per representation
+fills the record's ``counters``.
 """
 
-import csv
-import hashlib
 import json
 import os
 import statistics
@@ -59,54 +67,38 @@ PROBLEMS = ("vc", "vc-parm", "ds", "ce")
 
 KEYS = frozenset((
     "problem", "generator", "path", "name", "k", "fold", "reprs", "reps",
-    "timeout_s", "complement", "optional", "counters",
+    "timeout_s", "complement", "optional",
 ))
 
-# BenchRecord CSV column order
-FIELDS = (
-    "name",
-    "problem",
-    "repr",
-    "answer",
-    "size",
-    "k",
-    "fold",
-    "nodes",
-    "counters",
-    "wall_ms",
-    "seed",
-    "config_hash",
-    "speedup",
-    "status",
-    "error",
-)
+GENERATOR_KEYS = {"gnm": ("n", "m", "seed"),
+                  "ce": ("n", "clusters", "flips", "seed")}
 
 
 def dispatch_solve(problem, n, edges, repr_name, k=None, fold=False,
-                   timeout=None, instrumented=False):
-    """Route one (problem, graph, config) to its solver."""
-    if problem == "vc":
-        return solve_vc_opt(n, edges, repr_name=repr_name,
-                            timeout=timeout, instrumented=instrumented)
-    if problem == "vc-parm":
-        if k is None:
-            raise ValueError("vc-parm requires k")
-        return solve_vc_parm(n, edges, k, repr_name=repr_name, fold=fold,
-                             timeout=timeout, instrumented=instrumented)
-    if problem == "ds":
-        return solve_ds_opt(n, edges, repr_name=repr_name,
-                            timeout=timeout, instrumented=instrumented)
-    if problem == "ce":
-        if k is None:
-            raise ValueError("ce requires k")
-        return solve_ce_parm(n, edges, k, repr_name=repr_name,
-                             timeout=timeout, instrumented=instrumented)
-    raise ValueError(f"unknown problem {problem!r}")
+                   timeout=None, counters=False):
+    """Route one (problem, graph, config) to its solver.  With
+    ``counters``, the timed result also carries the operation counters
+    of one extra, untimed instrumented run of the same search."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
+    if k is None and problem in ("vc-parm", "ce"):
+        raise ValueError(f"{problem} requires k")
 
+    def run(instrumented):
+        kw = {"repr_name": repr_name, "timeout": timeout,
+              "instrumented": instrumented}
+        if problem == "vc":
+            return solve_vc_opt(n, edges, **kw)
+        if problem == "vc-parm":
+            return solve_vc_parm(n, edges, k, fold=fold, **kw)
+        if problem == "ds":
+            return solve_ds_opt(n, edges, **kw)
+        return solve_ce_parm(n, edges, k, **kw)
 
-def config_hash(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    res = run(False)
+    if counters:
+        res.counters = run(True).counters
+    return res
 
 
 def _load_row_instance(cfg, base_dir):
@@ -115,45 +107,33 @@ def _load_row_instance(cfg, base_dir):
     path = cfg.get("path")
     if (gen is None) == (path is None):
         raise ValueError("row needs exactly one of 'generator' or 'path'")
-    if gen is not None:
-        kind = gen.get("kind")
-        if kind == "gnm":
-            spec = gen_random_gnm(gen["n"], gen["m"], gen["seed"])
-            return spec, gen["seed"], None
-        if kind == "ce":
-            spec, planted = gen_cluster_editing(
-                gen["n"], gen["clusters"], gen["flips"], gen["seed"])
-            return spec, gen["seed"], planted
-        raise ValueError(f"unknown generator kind {kind!r}")
-    full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-    spec, _warnings = read_instance(full, complement=cfg.get("complement", False))
-    return spec, None, None
+    if gen is None:
+        spec, _warnings = read_instance(os.path.join(base_dir, path),
+                                        complement=cfg.get("complement", False))
+        return spec, None, None
+    if gen["kind"] == "gnm":
+        return gen_random_gnm(gen["n"], gen["m"], gen["seed"]), gen["seed"], None
+    spec, planted = gen_cluster_editing(
+        gen["n"], gen["clusters"], gen["flips"], gen["seed"])
+    return spec, gen["seed"], planted
 
 
-def _base_record(cfg):
+def _base_record(cfg, repr_name=None):
     return {
-        "name": cfg.get("name", ""),
-        "problem": cfg.get("problem", ""),
-        "repr": "",
-        "answer": "",
-        "size": "",
-        "k": "" if cfg.get("k") is None else cfg["k"],
-        "fold": cfg.get("fold", False),
-        "nodes": "",
-        "counters": "",
-        "wall_ms": "",
-        "seed": "" if cfg.get("seed") is None else cfg["seed"],
-        "config_hash": "",
-        "speedup": "",
+        "name": cfg.get("name"),
+        "problem": cfg.get("problem"),
+        "repr": repr_name,
+        "seed": cfg.get("seed"),
+        "speedup": None,
         "status": "ok",
-        "error": "",
+        "error": None,
     }
 
 
-def run_row(row, defaults, base_dir):
-    """Execute one manifest row.  Returns a list of record dicts, one
-    per representation (or a single error/skipped record).  Every key
-    is read from the row merged over ``defaults``."""
+def run_row(row, defaults, base_dir, counters=False):
+    """Execute one manifest row.  Returns a list of records, one per
+    representation (or a single error/skipped record).  Every key is
+    read from the row merged over ``defaults``."""
     cfg = dict(defaults)
     cfg.update(row)
     problem = cfg.get("problem")
@@ -164,8 +144,7 @@ def run_row(row, defaults, base_dir):
         if (
             cfg.get("optional", False)
             and path is not None
-            and not os.path.exists(
-                path if os.path.isabs(path) else os.path.join(base_dir, path))
+            and not os.path.exists(os.path.join(base_dir, path))
         ):
             rec = _base_record(cfg)
             rec["status"] = "skipped"
@@ -177,38 +156,28 @@ def run_row(row, defaults, base_dir):
             if planted is None:
                 raise ValueError("'planted' k needs a ce generator")
             k = planted
-        cfg["k"] = k
         cfg["seed"] = seed
+        cfg["name"] = cfg.get("name") or spec.name
         reprs = cfg.get("reprs", ["hybrid", "alist"])
         reps = cfg.get("reps", 3)
         timeout = cfg.get("timeout_s")
         fold = cfg.get("fold", False)
-        name = cfg.get("name") or spec.name
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         rec = _base_record(cfg)
         rec["status"] = "error"
         rec["error"] = str(exc)
         return [rec]
 
-    runs = []   # (record, results) per representation
-    for repr_name in reprs:
-        rec = _base_record(cfg)
-        rec["name"] = name
-        rec["repr"] = repr_name
-        rec["config_hash"] = config_hash({
-            "problem": problem, "repr": repr_name, "k": k, "fold": fold,
-            "reps": reps, "timeout_s": timeout,
-            "instance": spec.name,
-        })
-        runs.append((rec, []))
+    runs = [(_base_record(cfg, repr_name), []) for repr_name in reprs]
     for _ in range(reps):
         for rec, results in runs:
             if rec["status"] != "ok":
                 continue
             try:
+                # the first rep becomes the record, so it alone counts
                 results.append(dispatch_solve(
-                    problem, spec.n, spec.edges, rec["repr"],
-                    k=k, fold=fold, timeout=timeout))
+                    problem, spec.n, spec.edges, rec["repr"], k=k, fold=fold,
+                    timeout=timeout, counters=counters and not results))
             except SolveTimeout:
                 rec["status"] = "timeout"
                 rec["error"] = f"timeout after {timeout}s"
@@ -223,18 +192,8 @@ def run_row(row, defaults, base_dir):
             rec["status"] = "error"
             rec["error"] = f"nondeterministic node counts {sorted(nodes)}"
             continue
-        first = results[0]
-        rec["answer"] = first.answer
-        rec["size"] = "" if first.size is None else first.size
-        rec["nodes"] = first.nodes
+        rec.update(results[0].as_dict())
         rec["wall_ms"] = round(statistics.median(r.wall_ms for r in results), 3)
-        if cfg.get("counters"):
-            # one extra instrumented run, never timed
-            inst = dispatch_solve(problem, spec.n, spec.edges, rec["repr"],
-                                  k=k, fold=fold, timeout=timeout,
-                                  instrumented=True)
-            rec["counters"] = json.dumps(inst.counters, sort_keys=True,
-                                         separators=(",", ":"))
     records = [rec for rec, _ in runs]
 
     ok = [r for r in records if r["status"] == "ok"]
@@ -259,6 +218,13 @@ def run_row(row, defaults, base_dir):
     return records
 
 
+def _is_generator(x):
+    if type(x) is not dict or x.get("kind") not in tuple(GENERATOR_KEYS):
+        return False
+    keys = GENERATOR_KEYS[x["kind"]]
+    return x.keys() == {"kind", *keys} and all(type(x[key]) is int for key in keys)
+
+
 # (key, rule, test) for values; type(x) is int, not isinstance, so that
 # JSON true/false do not pass as 1/0
 VALUE_RULES = (
@@ -268,10 +234,14 @@ VALUE_RULES = (
     ("timeout_s", "null or a number >= 0",
      lambda x: x is None or type(x) in (int, float) and x >= 0),
     *((key, "true or false", lambda x: type(x) is bool)
-      for key in ("fold", "complement", "optional", "counters")),
+      for key in ("fold", "complement", "optional")),
     ("reprs", f"a non-empty list of distinct names from {REPR_NAMES}",
      lambda x: type(x) is list and x != [] and all(r in REPR_NAMES for r in x)
      and len(set(x)) == len(x)),
+    ("generator", "an object with 'kind' and int values: "
+     + " or ".join(f"{kind} {keys}" for kind, keys in GENERATOR_KEYS.items()),
+     _is_generator),
+    ("path", "a string", lambda x: type(x) is str),
 )
 
 
@@ -301,24 +271,16 @@ def run_manifest(manifest, base_dir=None, reps=None, counters=False):
     defaults = dict(data.get("defaults", {}))
     if reps is not None:
         defaults["reps"] = reps
-    if counters:
-        defaults["counters"] = True
     rows = data.get("runs", [])
     _check_entry(defaults, "defaults")
     for i, row in enumerate(rows):
         _check_entry(row, f"row {i}")
-    records = [rec for row in rows for rec in run_row(row, defaults, base_dir)]
+    records = [rec for row in rows
+               for rec in run_row(row, defaults, base_dir, counters)]
     all_ok = all(r["status"] in ("ok", "skipped") for r in records)
     return records, all_ok
 
 
-def write_csv(records, fh):
-    writer = csv.DictWriter(fh, fieldnames=FIELDS)
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(rec)
-
-
 def write_json(records, fh):
-    json.dump(records, fh, indent=2, default=str)
+    json.dump(records, fh, indent=2)
     fh.write("\n")

@@ -2,11 +2,13 @@
 
     hybridgraph solve vc --input graph.clq --repr hybrid
     hybridgraph solve ce --input toy.el --k 3 --json
-    hybridgraph bench benchmarks/manifest.json --out report.csv
+    hybridgraph bench benchmarks/manifest.json --out report.json
     hybridgraph gen gnm --n 100 --m 400 --seed 7 --out g.el
 
-Exit codes: 0 solved (or decision "yes"), 1 decision "no", 2 error,
-3 timeout.
+`solve --json` prints ``SolverResult.as_dict()`` plus the instance
+name; `bench` writes a JSON list of the records described in
+``hybridgraph.bench``.  Exit codes: 0 solved (or decision "yes"),
+1 decision "no", 2 error, 3 timeout.
 """
 
 import json
@@ -24,6 +26,7 @@ from .instances import (
     write_edge_list,
 )
 from .solvers import SolveTimeout
+from .solvers.common import REPR_NAMES
 
 EXIT_NO = 1
 EXIT_ERROR = 2
@@ -45,7 +48,7 @@ def main():
 @click.option("--input", "input_path", required=True,
               help="Instance file (edge list, or DIMACS .col/.clq).")
 @click.option("--repr", "repr_name", default="hybrid",
-              type=click.Choice(["hybrid", "alist"]), show_default=True)
+              type=click.Choice(REPR_NAMES), show_default=True)
 @click.option("--k", type=int, default=None,
               help="Budget for vc-parm / ce.")
 @click.option("--fold", is_flag=True,
@@ -53,7 +56,6 @@ def main():
 @click.option("--complement", is_flag=True,
               help="Solve on the complement of a DIMACS instance.")
 @click.option("--timeout-s", type=float, default=None,
-              envvar="HYBRIDGRAPH_TIMEOUT_S",
               help="Abort the search after this many seconds.")
 @click.option("--counters", is_flag=True,
               help="Add an instrumented run and report operation counters.")
@@ -76,25 +78,14 @@ def solve(problem, input_path, repr_name, k, fold, complement,
     try:
         res = benchmod.dispatch_solve(
             problem, spec.n, spec.edges, repr_name,
-            k=k, fold=fold, timeout=timeout_s)
-        if counters:
-            res_inst = benchmod.dispatch_solve(
-                problem, spec.n, spec.edges, repr_name,
-                k=k, fold=fold, timeout=timeout_s, instrumented=True)
-            res.counters = res_inst.counters
+            k=k, fold=fold, timeout=timeout_s, counters=counters)
     except SolveTimeout:
         _fail(f"timeout after {timeout_s}s", EXIT_TIMEOUT)
     except ValueError as exc:
         _fail(exc)
 
-    record = res.as_dict()
-    record["instance"] = spec.name
-    record["config_hash"] = benchmod.config_hash({
-        "problem": problem, "repr": repr_name, "k": k, "fold": fold,
-        "timeout_s": timeout_s, "instance": spec.name,
-    })
     if as_json:
-        click.echo(json.dumps(record, indent=2, default=str))
+        click.echo(json.dumps({**res.as_dict(), "instance": spec.name}, indent=2))
     else:
         if problem in ("vc", "ds"):
             head = f"{problem} {spec.name}: size {res.size}"
@@ -114,34 +105,29 @@ def solve(problem, input_path, repr_name, k, fold, complement,
 @main.command(name="bench")
 @click.argument("manifest", type=click.Path())
 @click.option("--out", default="-", show_default=True,
-              help="CSV output path ('-' for stdout).")
-@click.option("--json", "json_out", default=None,
-              help="Also write the records as JSON to this path.")
-@click.option("--reps", type=int, default=None, envvar="HYBRIDGRAPH_REPS",
+              help="JSON output path ('-' for stdout).")
+@click.option("--reps", type=int, default=None,
               help="Override repetitions per run (median is reported).")
 @click.option("--counters", is_flag=True,
               help="Add an untimed instrumented run per row.")
-def bench(manifest, out, json_out, reps, counters):
-    """Run a benchmark manifest and write a CSV report."""
+def bench(manifest, out, reps, counters):
+    """Run a benchmark manifest and write its records as JSON."""
     try:
         records, all_ok = benchmod.run_manifest(
             manifest, reps=reps, counters=counters)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _fail(exc)
     if out == "-":
-        benchmod.write_csv(records, sys.stdout)
+        benchmod.write_json(records, sys.stdout)
     else:
-        with open(out, "w", encoding="ascii", newline="") as fh:
-            benchmod.write_csv(records, fh)
-        click.echo(f"wrote {len(records)} records to {out}", err=True)
-    if json_out:
-        with open(json_out, "w", encoding="ascii") as fh:
+        with open(out, "w", encoding="ascii") as fh:
             benchmod.write_json(records, fh)
+        click.echo(f"wrote {len(records)} records to {out}", err=True)
     bad = [r for r in records if r["status"] not in ("ok", "skipped")]
     for rec in bad:
-        click.echo(
-            f"failed: {rec['name']} {rec['problem']} {rec['repr']}: "
-            f"{rec['error']}", err=True)
+        row = " ".join(str(rec[key]) for key in ("name", "problem", "repr")
+                       if rec[key] is not None)
+        click.echo(f"failed: {row}: {rec['error']}", err=True)
     if not all_ok:
         sys.exit(EXIT_ERROR)
 

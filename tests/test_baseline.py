@@ -102,6 +102,8 @@ def test_randomized_against_mirror():
         _, edges = gnm(n, m, rng.randrange(1 << 30))
         g = BaselineGraph(n, edges)
         mirror = EdgeSetMirror(n, edges)
+        built = len(g.nbr)
+        root = g.snapshot()
         stack = []
         for _ in range(rng.randrange(10, 50)):
             ops = ["save"]
@@ -146,6 +148,10 @@ def test_randomized_against_mirror():
             g.restore(snap)
             mirror = saved
         check_against(g, mirror)
+        # undone add_edge records free their cells
+        g.restore(root)
+        assert len(g.nbr) == len(g.prv) == len(g.nxt) == built
+        check_against(g, EdgeSetMirror(n, edges))
 
 
 def test_observable_equivalence_with_hybrid_on_same_script():

@@ -1,14 +1,13 @@
 """CLI and bench-runner tests."""
 
-import csv
-import io
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from hybridgraph import bench as benchmod
-from hybridgraph.bench import run_manifest, write_csv
+from hybridgraph.bench import run_manifest
 from hybridgraph.cli import main
 from hybridgraph.instances import gen_random_gnm, write_edge_list
 from hybridgraph.solvers import SolveTimeout, SolverResult
@@ -46,7 +45,6 @@ def test_solve_ds_json(runner, petersen_file):
     assert record["size"] == 3
     assert record["problem"] == "ds"
     assert record["repr"] == "hybrid"
-    assert record["config_hash"]
 
 
 def test_solve_decision_exit_codes(runner, petersen_file):
@@ -99,15 +97,6 @@ def test_solve_timeout_exit_code(runner, tmp_path):
         main, ["solve", "vc", "--input", str(path), "--timeout-s", "0"])
     assert res.exit_code == 3
     assert "timeout" in res.stderr
-
-
-def test_solve_timeout_env_var(runner, tmp_path):
-    spec = gen_random_gnm(60, 700, seed=5)
-    path = tmp_path / "dense.el"
-    write_edge_list(spec, path)
-    res = runner.invoke(main, ["solve", "vc", "--input", str(path)],
-                        env={"HYBRIDGRAPH_TIMEOUT_S": "0"})
-    assert res.exit_code == 3
 
 
 @pytest.mark.parametrize("seconds", ["nan", "-1"])
@@ -216,7 +205,7 @@ def test_bench_pairs_and_speedup(tmp_path):
     for hy, al in zip(records[::2], records[1::2]):
         assert hy["nodes"] == al["nodes"]
         assert hy["answer"] == al["answer"]
-        assert hy["speedup"] == al["speedup"] != ""
+        assert hy["speedup"] == al["speedup"] is not None
 
 
 def test_bench_row_error_continues_and_exit_code(runner, tmp_path):
@@ -226,7 +215,7 @@ def test_bench_row_error_continues_and_exit_code(runner, tmp_path):
     ])
     res = runner.invoke(main, ["bench", str(path)])
     assert res.exit_code == 2
-    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    rows = json.loads(res.stdout)
     assert rows[0]["status"] == "error"
     assert [r["status"] for r in rows[1:]] == ["ok", "ok"]
 
@@ -237,7 +226,7 @@ def test_bench_optional_row_skips_cleanly(runner, tmp_path):
     ])
     res = runner.invoke(main, ["bench", str(path)])
     assert res.exit_code == 0
-    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    rows = json.loads(res.stdout)
     assert [r["status"] for r in rows] == ["skipped"]
 
 
@@ -245,7 +234,7 @@ def test_bench_empty_manifest(runner, tmp_path):
     path = _manifest(tmp_path, [])
     res = runner.invoke(main, ["bench", str(path)])
     assert res.exit_code == 0
-    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    rows = json.loads(res.stdout)
     assert rows == []
 
 
@@ -256,7 +245,7 @@ def test_bench_counters_column(tmp_path):
     ])
     records, all_ok = run_manifest(path, counters=True)
     assert all_ok
-    counters = json.loads(records[0]["counters"])
+    counters = records[0]["counters"]
     assert counters["restore"]["calls"] > 0
     assert counters["delete_vertex"]["writes"] > 0
 
@@ -281,7 +270,7 @@ def test_bench_alternates_representations(tmp_path, monkeypatch):
     assert calls[6:] == [("vc", "hybrid"), ("vc", "alist")] * 2 + [("vc", "hybrid")]
     assert [(r["repr"], r["status"]) for r in records] == [
         ("hybrid", "ok"), ("alist", "ok"), ("hybrid", "ok"), ("alist", "timeout")]
-    assert records[2]["nodes"] == 5 and records[2]["speedup"] == ""
+    assert records[2]["nodes"] == 5 and records[2]["speedup"] is None
     assert records[3]["error"] == "timeout after 5s"
     assert not all_ok
 
@@ -290,12 +279,10 @@ def test_bench_rejects_reps_below_one_flag(runner, tmp_path):
     path = _manifest(tmp_path, [
         {"problem": "ds", "generator": {"kind": "gnm", "n": 12, "m": 20, "seed": 1}},
     ])
-    for res in (runner.invoke(main, ["bench", str(path), "--reps", "0"]),
-                runner.invoke(main, ["bench", str(path)],
-                              env={"HYBRIDGRAPH_REPS": "0"})):
-        assert res.exit_code == 2
-        assert "reps" in res.stderr
-        assert res.stdout == ""
+    res = runner.invoke(main, ["bench", str(path), "--reps", "0"])
+    assert res.exit_code == 2
+    assert "reps" in res.stderr
+    assert res.stdout == ""
 
 
 def test_bench_rejects_reps_below_one_row(runner, tmp_path):
@@ -313,7 +300,9 @@ def test_bench_rejects_reps_below_one_row(runner, tmp_path):
 def test_bench_rejects_unknown_keys(tmp_path):
     gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
     for row, key in (({"problem": "vc", "generator": gen, "lb": "clique"}, "lb"),
-                     ({"problem": "ds", "generator": gen, "rep": 2}, "rep")):
+                     ({"problem": "ds", "generator": gen, "rep": 2}, "rep"),
+                     ({"problem": "ds", "generator": gen, "counters": True},
+                      "counters")):
         with pytest.raises(ValueError, match=f"row 0: unknown key '{key}'"):
             run_manifest(_manifest(tmp_path, [row]))
     with pytest.raises(ValueError, match="defaults: unknown key 'lb'"):
@@ -323,9 +312,18 @@ def test_bench_rejects_unknown_keys(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("k", "x"), ("k", True), ("k", 2.5), ("reps", 2.5), ("timeout_s", "5"),
     ("fold", "false"), ("complement", 0), ("optional", "true"),
-    ("counters", 1), ("reprs", "hybrid"), ("reprs", []),
+    ("path", 5), ("reprs", "hybrid"), ("reprs", []),
     ("reprs", ["hybrid", "hybrid"]), ("reprs", ["hybrid", "matrix"]),
-    ("reprs", [["hybrid"]])])
+    ("reprs", [["hybrid"]]), ("path", None),
+    ("generator", "gnm"), ("generator", None),
+    ("generator", {"kind": "gnm", "n": "12", "m": 20, "seed": 1}),
+    ("generator", {"kind": "gnm", "n": 12, "m": 20, "seed": True}),
+    ("generator", {"kind": "gnm", "n": 12, "m": 20}),
+    ("generator", {"kind": "gnm", "n": 12, "m": 20, "seed": 1, "flips": 2}),
+    ("generator", {"kind": "ce", "n": 12, "m": 20, "seed": 1}),
+    ("generator", {"kind": "er", "n": 12, "m": 20, "seed": 1}),
+    ("generator", {"kind": ["gnm"], "n": 12, "m": 20, "seed": 1}),
+    ("generator", {"n": 12, "m": 20, "seed": 1})])
 def test_bench_rejects_malformed_values(runner, tmp_path, key, value):
     gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
     path = _manifest(tmp_path, [{"problem": "vc-parm", "k": 3, "generator": gen},
@@ -351,15 +349,32 @@ def test_bench_row_reads_defaults(tmp_path):
         ("error", "unknown problem None")]
 
 
-def test_bench_csv_round_trip(tmp_path):
-    path = _manifest(tmp_path, [
-        {"problem": "vc-parm", "k": 8,
-         "generator": {"kind": "gnm", "n": 20, "m": 40, "seed": 6}},
-    ])
-    records, _ = run_manifest(path)
-    buf = io.StringIO()
-    write_csv(records, buf)
-    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-    assert len(rows) == len(records)
-    assert rows[0]["problem"] == "vc-parm"
-    assert int(rows[0]["nodes"]) == records[0]["nodes"]
+@pytest.mark.parametrize("problem, repr_name, extra, row", [
+    ("ds", "hybrid", [], {}),
+    ("vc", "alist", [], {}),
+    ("vc-parm", "hybrid", ["--k", "6", "--fold"], {"k": 6, "fold": True}),
+    ("ce", "alist", ["--k", "3"], {"k": 3}),
+])
+def test_solve_and_bench_records_agree(runner, petersen_file, problem,
+                                       repr_name, extra, row):
+    # one record format: the bench record is the solve record plus row
+    # fields, with the median wall time over the reps
+    res = runner.invoke(main, ["solve", problem, "--input", petersen_file,
+                               "--repr", repr_name, "--counters", "--json",
+                               *extra])
+    assert res.exit_code in (0, 1)   # ce at k = 3 answers no
+    solved = json.loads(res.stdout)
+    out = Path(petersen_file).with_suffix(".json")
+    path = _manifest(Path(petersen_file).parent,
+                     [{"problem": problem, "path": petersen_file,
+                       "reprs": [repr_name], **row}])
+    res = runner.invoke(main, ["bench", str(path), "--counters",
+                               "--out", str(out)])
+    assert res.exit_code == 0
+    [record] = json.loads(out.read_text())
+    assert record["status"] == "ok"
+    keys = set(SolverResult("vc", 0, 0, [], 0, 0.0, "hybrid").as_dict())
+    assert keys <= set(solved) and keys <= set(record)
+    assert record["counters"]
+    for key in keys - {"wall_ms"}:
+        assert solved[key] == record[key], key
