@@ -30,14 +30,18 @@ optional name, k (int, or "planted" with a ce generator), fold,
 reprs, reps, timeout_s, complement, optional (skip silently when the
 path is missing: used for large instance files that are fetched
 separately).  ``defaults`` takes the same keys, and a row's own value
-of a key wins over the default.  Before any row runs, the manifest is
-rejected with a ValueError naming the row and the key if ``defaults``
-or a row holds any other key or a value outside ``VALUE_RULES``: k an
-int >= 0 or "planted", reps an int >= 1, timeout_s null or a number
->= 0 (a JSON boolean is none of these); fold, complement and optional
-JSON booleans; reprs a non-empty list of distinct names from
+of a key wins over the default; a ``reps`` passed to ``run_manifest``
+wins over both.  Before any row runs, the manifest is rejected with a
+ValueError naming the row and the key if ``defaults`` or a row holds
+any other key or a value outside ``VALUE_RULES``: k an int >= 0 or
+"planted", reps an int >= 1, timeout_s null or a number >= 0 (a JSON
+boolean is none of these); fold, complement and optional JSON
+booleans; reprs a non-empty list of distinct names from
 ``REPR_NAMES``; generator an object of ``GENERATOR_KEYS`` with int
-values; path a string.
+values; path a string.  It is also rejected if a row merged over
+``defaults`` holds a key its row cannot use (``SCOPE_RULES``): k
+outside vc-parm and ce, fold outside vc-parm, complement on a
+generator row.
 
 A record is the first timed rep's ``SolverResult.as_dict()`` with
 ``wall_ms`` replaced by the median over the reps, plus the row fields
@@ -130,12 +134,11 @@ def _base_record(cfg, repr_name=None):
     }
 
 
-def run_row(row, defaults, base_dir, counters=False):
-    """Execute one manifest row.  Returns a list of records, one per
-    representation (or a single error/skipped record).  Every key is
-    read from the row merged over ``defaults``."""
-    cfg = dict(defaults)
-    cfg.update(row)
+def run_row(cfg, base_dir, counters=False):
+    """Execute one manifest row, already merged over the manifest's
+    ``defaults``.  Returns a list of records, one per representation
+    (or a single error/skipped record)."""
+    cfg = dict(cfg)
     problem = cfg.get("problem")
     try:
         if problem not in PROBLEMS:
@@ -255,6 +258,24 @@ def _check_entry(entry, where):
                              f"got {entry[key]!r}")
 
 
+# (key, the rows it means something to, test on the merged row)
+SCOPE_RULES = (
+    ("k", "vc-parm and ce rows",
+     lambda cfg: cfg["problem"] in ("vc-parm", "ce")),
+    ("fold", "vc-parm rows", lambda cfg: cfg["problem"] == "vc-parm"),
+    ("complement", "path rows", lambda cfg: "generator" not in cfg),
+)
+
+
+def _check_scope(cfg, where):
+    # a row with no known problem becomes an error record instead
+    if cfg.get("problem") not in PROBLEMS:
+        return
+    for key, scope, ok in SCOPE_RULES:
+        if key in cfg and not ok(cfg):
+            raise ValueError(f"{where}: {key} is only valid for {scope}")
+
+
 def run_manifest(manifest, base_dir=None, reps=None, counters=False):
     """Run every row in manifest order.  `manifest` is a path or a
     parsed dict.  Returns (records, all_ok); skipped optional rows do
@@ -268,15 +289,18 @@ def run_manifest(manifest, base_dir=None, reps=None, counters=False):
         data = manifest
     if base_dir is None:
         base_dir = os.getcwd()
-    defaults = dict(data.get("defaults", {}))
-    if reps is not None:
-        defaults["reps"] = reps
-    rows = data.get("runs", [])
+    defaults = data.get("defaults", {})
+    override = {} if reps is None else {"reps": reps}
     _check_entry(defaults, "defaults")
-    for i, row in enumerate(rows):
+    _check_entry(override, "--reps")
+    cfgs = []
+    for i, row in enumerate(data.get("runs", [])):
         _check_entry(row, f"row {i}")
-    records = [rec for row in rows
-               for rec in run_row(row, defaults, base_dir, counters)]
+        cfg = {**defaults, **row, **override}
+        _check_scope(cfg, f"row {i}")
+        cfgs.append(cfg)
+    records = [rec for cfg in cfgs
+               for rec in run_row(cfg, base_dir, counters)]
     all_ok = all(r["status"] in ("ok", "skipped") for r in records)
     return records, all_ok
 

@@ -11,9 +11,12 @@ because every inserted edge stays inside its component, so nothing
 dangling is ever visible); one scan then yields the first conflict
 triple (x,y,z) with xy, yz edges and xz a non-edge, in lexicographic
 order, plus a greedy edit-disjoint conflict packing whose size lower
-bounds the remaining budget.  Branching edits one of the triple's
-three pairs; a branch whose pair is frozen is skipped, and a conflict
-with all three pairs frozen is unresolvable.
+bounds the remaining budget.  The scan sorts each vertex's
+neighbourhood once and meets each conflict once, from its lower end
+(x < z), so it asks ``is_adjacent`` once per two-edge path x-y-z.
+Branching edits one of the triple's three pairs; a branch whose pair
+is frozen is skipped, and a conflict with all three pairs frozen is
+unresolvable.
 """
 
 from .common import Search, build_representation, timed
@@ -42,26 +45,36 @@ class _EditSearch(Search):
 
     def _first_conflict_and_bound(self):
         """Lexicographically first conflict triple, plus the size of a
-        greedy packing of conflicts sharing no editable pair."""
+        greedy packing of conflicts sharing no editable pair.
+
+        Each vertex's neighbourhood is read and sorted once.  A conflict
+        (x, y, z) is the same path as (z, y, x), so it is met once, from
+        its lower end x < z.  That loses nothing against a scan of both
+        orientations: the first conflict in lexicographic order has
+        x < z, and when such a scan met the reversed copy, the lower
+        one had been packed (its pairs are in ``used``) or rejected
+        (one of its pairs was), and ``used`` only grows, so the copy
+        was never packed."""
         g = self.g
+        adj = g.is_adjacent
+        nbrs = {v: sorted(g.neighbors(v)) for v in g.active_vertices()}
         first = None
         used = set()
         packed = 0
-        for x in sorted(g.active_vertices()):
-            nx = sorted(g.neighbors(x))
-            for y in nx:
-                for z in sorted(g.neighbors(y)):
-                    if z == x or g.is_adjacent(x, z):
+        for x in sorted(nbrs):
+            for y in nbrs[x]:
+                pxy = (x, y) if x < y else (y, x)
+                for z in nbrs[y]:
+                    if z <= x or adj(x, z):
                         continue
                     if first is None:
                         first = (x, y, z)
-                    pairs = (
-                        (min(x, y), max(x, y)),
-                        (min(y, z), max(y, z)),
-                        (min(x, z), max(x, z)),
-                    )
-                    if all(p not in used for p in pairs):
-                        used.update(pairs)
+                    pyz = (y, z) if y < z else (z, y)
+                    pxz = (x, z)
+                    if pxy not in used and pyz not in used and pxz not in used:
+                        used.add(pxy)
+                        used.add(pyz)
+                        used.add(pxz)
                         packed += 1
         return first, packed
 

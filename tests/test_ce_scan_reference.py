@@ -1,0 +1,124 @@
+"""The cluster-editing conflict scan against its two-orientation reference.
+
+``_EditSearch._first_conflict_and_bound`` sorts each neighbourhood once
+per scan and meets each conflict path once, from its lower end.  The
+reference below is the scan it replaces, kept verbatim: it re-sorts
+``neighbors(y)`` per edge and meets every path from both ends.  Random
+edit sequences in addition mode, under the edit-once discipline the
+search keeps and with vertices deleted a whole component at a time,
+must give the same (first conflict, packing size) from
+both after every step, on both representations."""
+
+import random
+
+import pytest
+
+from hybridgraph.solvers.cluster_editing import _EditSearch
+from hybridgraph.solvers.common import REPR_NAMES, build_representation
+
+from helpers import gnm
+
+
+def ref_first_conflict_and_bound(g):
+    first = None
+    used = set()
+    packed = 0
+    for x in sorted(g.active_vertices()):
+        nx = sorted(g.neighbors(x))
+        for y in nx:
+            for z in sorted(g.neighbors(y)):
+                if z == x or g.is_adjacent(x, z):
+                    continue
+                if first is None:
+                    first = (x, y, z)
+                pairs = (
+                    (min(x, y), max(x, y)),
+                    (min(y, z), max(y, z)),
+                    (min(x, z), max(x, z)),
+                )
+                if all(p not in used for p in pairs):
+                    used.update(pairs)
+                    packed += 1
+    return first, packed
+
+
+def _scan(g):
+    return _EditSearch(g, None)._first_conflict_and_bound()
+
+
+def _random_edit(g, frozen, rng):
+    """Delete a live edge or add a non-edge on a pair not yet edited,
+    as the search does; returns False if no such pair exists."""
+    act = sorted(g.active_vertices())
+    pairs = [(u, v) for i, u in enumerate(act) for v in act[i + 1:]
+             if (u, v) not in frozen]
+    if not pairs:
+        return False
+    u, v = rng.choice(pairs)
+    (g.delete_edge if g.is_adjacent(u, v) else g.add_edge)(u, v)
+    frozen.add((u, v))
+    return True
+
+
+def _drop_component(g, rng):
+    """Delete the connected component of a random active vertex, as the
+    search drops clique components: addition mode deletes vertices only
+    a whole component at a time."""
+    comp = {rng.choice(sorted(g.active_vertices()))}
+    queue = list(comp)
+    while queue:
+        for y in g.neighbors(queue.pop()):
+            if y not in comp:
+                comp.add(y)
+                queue.append(y)
+    for v in comp:
+        g.delete_vertex(v)
+
+
+@pytest.mark.parametrize("repr_name", REPR_NAMES)
+def test_scan_matches_two_orientation_reference(repr_name):
+    rng = random.Random(4130 + REPR_NAMES.index(repr_name))
+    firsts = packs = 0
+    for trial in range(80):
+        n = rng.randrange(2, 22)
+        m = rng.randrange(0, n * (n - 1) // 2 + 1)
+        g = build_representation(repr_name, "addition",
+                                 *gnm(n, m, rng.randrange(1 << 30)))
+        frozen = set()
+        stack = []
+        assert _scan(g) == ref_first_conflict_and_bound(g)
+        for _ in range(rng.randrange(10, 40)):
+            r = rng.random()
+            if r < 0.15:
+                stack.append((g.snapshot(), set(frozen)))
+            elif r < 0.3 and stack:
+                snap, frozen = stack.pop()
+                g.restore(snap)
+            elif r < 0.9 and _random_edit(g, frozen, rng):
+                pass
+            elif g.active_count():
+                _drop_component(g, rng)
+            first, packed = _scan(g)
+            assert (first, packed) == ref_first_conflict_and_bound(g)
+            firsts += first is not None
+            packs += packed > 1
+    # the sequences reach graphs with conflicts and multi-conflict packings
+    assert firsts > 500 and packs > 300
+
+
+@pytest.mark.parametrize("repr_name", REPR_NAMES)
+def test_scan_asks_each_path_once(repr_name):
+    rng = random.Random(4140)
+    for n, m in ((12, 20), (20, 60), (30, 200), (25, 300)):
+        g = build_representation(repr_name, "addition",
+                                 *gnm(n, m, rng.randrange(1 << 30)),
+                                 instrumented=True)
+        frozen = set()
+        for _ in range(n // 2):
+            _random_edit(g, frozen, rng)
+        # one is_adjacent per pair of neighbours of each center y
+        paths = sum(d * (d - 1) // 2
+                    for d in (len(g.neighbors(y)) for y in g.active_vertices()))
+        before = g.counters.calls.get("is_adjacent", 0)
+        _scan(g)
+        assert g.counters.calls.get("is_adjacent", 0) - before == paths

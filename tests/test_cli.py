@@ -275,6 +275,25 @@ def test_bench_alternates_representations(tmp_path, monkeypatch):
     assert not all_ok
 
 
+def test_bench_reps_flag_overrides_row_reps(runner, tmp_path, monkeypatch):
+    calls = []
+
+    def fake_solve(problem, n, edges, repr_name, **kw):
+        calls.append(repr_name)
+        return SolverResult(problem, n, 2, [0, 1], 5, 1.0, repr_name, size=2)
+
+    monkeypatch.setattr(benchmod, "dispatch_solve", fake_solve)
+    gen = {"kind": "gnm", "n": 8, "m": 10, "seed": 1}
+    path = _manifest(tmp_path, [{"problem": "ds", "generator": gen, "reps": 2}],
+                     defaults={"reps": 3})
+    res = runner.invoke(main, ["bench", str(path), "--reps", "1"])
+    assert res.exit_code == 0
+    assert calls == ["hybrid", "alist"]
+    calls.clear()
+    records, all_ok = run_manifest(path)
+    assert all_ok and calls == ["hybrid", "alist"] * 2
+
+
 def test_bench_rejects_reps_below_one_flag(runner, tmp_path):
     path = _manifest(tmp_path, [
         {"problem": "ds", "generator": {"kind": "gnm", "n": 12, "m": 20, "seed": 1}},
@@ -333,6 +352,35 @@ def test_bench_rejects_malformed_values(runner, tmp_path, key, value):
     assert res.exit_code == 2
     assert f"row 1: {key} must be" in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("row, defaults, key", [
+    ({"problem": "ds", "k": 3, "fold": True, "complement": True}, {}, "k"),
+    ({"problem": "vc", "k": 3}, {}, "k"),
+    ({"problem": "ds", "fold": True}, {}, "fold"),
+    ({"problem": "ce", "k": 3, "fold": False}, {}, "fold"),
+    ({"problem": "vc-parm", "k": 3, "complement": False}, {}, "complement"),
+    ({"problem": "ds"}, {"k": 3}, "k"),
+    ({"problem": "vc"}, {"fold": True}, "fold"),
+])
+def test_bench_rejects_keys_a_row_cannot_use(runner, tmp_path, row, defaults,
+                                             key):
+    gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
+    path = _manifest(tmp_path, [{"problem": "vc-parm", "k": 3, "generator": gen},
+                                {**row, "generator": gen}],
+                     defaults={"reps": 1, **defaults})
+    res = runner.invoke(main, ["bench", str(path)])
+    assert res.exit_code == 2
+    assert f"row 1: {key} is only valid for" in res.stderr
+    assert res.stdout == ""
+
+
+def test_bench_accepts_complement_on_path_rows(tmp_path, petersen_file):
+    path = _manifest(tmp_path, [{"problem": "vc", "path": petersen_file,
+                                 "complement": False}],
+                     defaults={"reps": 1})
+    records, all_ok = run_manifest(path)
+    assert all_ok and [r["size"] for r in records] == [6, 6]
 
 
 def test_bench_row_reads_defaults(tmp_path):
