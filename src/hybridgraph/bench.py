@@ -41,7 +41,9 @@ booleans; reprs a non-empty list of distinct names from
 values; path a string.  It is also rejected if a row merged over
 ``defaults`` holds a key its row cannot use (``SCOPE_RULES``): k
 outside vc-parm and ce, fold outside vc-parm, complement on a
-generator row.
+generator row; and, once every row has passed those checks, if a
+vc-parm row has fold true and alist in its reprs (alist has no
+contraction mode).
 
 A record is the first timed rep's ``SolverResult.as_dict()`` with
 ``wall_ms`` replaced by the median over the reps, plus the row fields
@@ -161,7 +163,7 @@ def run_row(cfg, base_dir, counters=False):
             k = planted
         cfg["seed"] = seed
         cfg["name"] = cfg.get("name") or spec.name
-        reprs = cfg.get("reprs", ["hybrid", "alist"])
+        reprs = cfg.get("reprs", REPR_NAMES)
         reps = cfg.get("reps", 3)
         timeout = cfg.get("timeout_s")
         fold = cfg.get("fold", False)
@@ -276,6 +278,14 @@ def _check_scope(cfg, where):
             raise ValueError(f"{where}: {key} is only valid for {scope}")
 
 
+def _check_reprs(cfg, where):
+    # folding runs on the contraction mode, which only the hybrid has
+    if cfg.get("problem") == "vc-parm" and cfg.get("fold") \
+            and "alist" in cfg.get("reprs", REPR_NAMES):
+        raise ValueError(f"{where}: fold is only valid for reprs without "
+                         "'alist' (alist has no contraction mode)")
+
+
 def run_manifest(manifest, base_dir=None, reps=None, counters=False):
     """Run every row in manifest order.  `manifest` is a path or a
     parsed dict.  Returns (records, all_ok); skipped optional rows do
@@ -299,6 +309,8 @@ def run_manifest(manifest, base_dir=None, reps=None, counters=False):
         cfg = {**defaults, **row, **override}
         _check_scope(cfg, f"row {i}")
         cfgs.append(cfg)
+    for i, cfg in enumerate(cfgs):
+        _check_reprs(cfg, f"row {i}")
     records = [rec for cfg in cfgs
                for rec in run_row(cfg, base_dir, counters)]
     all_ok = all(r["status"] in ("ok", "skipped") for r in records)

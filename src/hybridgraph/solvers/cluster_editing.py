@@ -6,14 +6,17 @@ inserted edges are permanent along a search path and vanish on
 restore.  A pair once edited is frozen for the rest of the path, which
 is exactly the discipline the addition structure requires.
 
-Per node: components that are already cliques are removed whole (safe
-because every inserted edge stays inside its component, so nothing
-dangling is ever visible); one scan then yields the first conflict
-triple (x,y,z) with xy, yz edges and xz a non-edge, in lexicographic
-order, plus a greedy edit-disjoint conflict packing whose size lower
-bounds the remaining budget.  The scan sorts each vertex's
-neighbourhood once and meets each conflict once, from its lower end
-(x < z), so it asks ``is_adjacent`` once per two-edge path x-y-z.
+Per node: each vertex's neighbourhood is read once, and components
+that are already cliques are removed whole (safe because every
+inserted edge stays inside its component, so nothing dangling is ever
+visible); one scan over the rows left, each sorted once, then yields
+the first conflict triple (x,y,z) with xy, yz edges and xz a
+non-edge, in lexicographic order, plus a greedy edit-disjoint conflict
+packing whose size lower bounds the remaining budget.  The scan meets
+each conflict once, from its lower end (x < z), so a full scan asks
+``is_adjacent`` once per two-edge path x-y-z.  It stops as soon as the
+packing exceeds the budget, which fixes the node's answer, so a node
+that is cut off asks fewer.
 Branching edits one of the triple's three pairs; a branch whose pair
 is frozen is skipped, and a conflict with all three pairs frozen is
 unresolvable.
@@ -25,39 +28,49 @@ from .verify import verify_ce
 
 class _EditSearch(Search):
     def _drop_clique_components(self):
+        """Delete every component that is already a clique; return
+        ``{v: neighbors(v)}`` for the vertices left.  This is the
+        node's only ``neighbors`` pass: a deleted component has no
+        edge to a vertex that stays, so the rows kept are current."""
         g = self.g
+        nbrs = {v: g.neighbors(v) for v in g.active_vertices()}
         seen = set()
-        for v in g.active_vertices():
+        for v in list(nbrs):
             if v in seen:
                 continue
             comp = {v}
             queue = [v]
             while queue:
-                x = queue.pop()
-                for y in g.neighbors(x):
+                for y in nbrs[queue.pop()]:
                     if y not in comp:
                         comp.add(y)
                         queue.append(y)
             seen |= comp
-            if all(g.degree(x) == len(comp) - 1 for x in comp):
+            if all(len(nbrs[x]) == len(comp) - 1 for x in comp):
                 for x in comp:
                     g.delete_vertex(x)
+                    del nbrs[x]
+        return nbrs
 
-    def _first_conflict_and_bound(self):
+    def _first_conflict_and_bound(self, nbrs, k):
         """Lexicographically first conflict triple, plus the size of a
-        greedy packing of conflicts sharing no editable pair.
+        greedy packing of conflicts sharing no editable pair, over the
+        neighbourhood rows ``nbrs`` (sorted here, in place).  The scan
+        stops once the packing exceeds the budget ``k``: the first
+        conflict is found by then, and the node is cut off whatever the
+        rest of the packing holds, so the size returned is ``k + 1``.
+        A packing that never exceeds ``k`` is returned whole.
 
-        Each vertex's neighbourhood is read and sorted once.  A conflict
-        (x, y, z) is the same path as (z, y, x), so it is met once, from
-        its lower end x < z.  That loses nothing against a scan of both
-        orientations: the first conflict in lexicographic order has
-        x < z, and when such a scan met the reversed copy, the lower
-        one had been packed (its pairs are in ``used``) or rejected
-        (one of its pairs was), and ``used`` only grows, so the copy
-        was never packed."""
-        g = self.g
-        adj = g.is_adjacent
-        nbrs = {v: sorted(g.neighbors(v)) for v in g.active_vertices()}
+        A conflict (x, y, z) is the same path as (z, y, x), so it is
+        met once, from its lower end x < z.  That loses nothing against
+        a scan of both orientations: the first conflict in
+        lexicographic order has x < z, and when such a scan met the
+        reversed copy, the lower one had been packed (its pairs are in
+        ``used``) or rejected (one of its pairs was), and ``used`` only
+        grows, so the copy was never packed."""
+        adj = self.g.is_adjacent
+        for row in nbrs.values():
+            row.sort()
         first = None
         used = set()
         packed = 0
@@ -76,6 +89,8 @@ class _EditSearch(Search):
                         used.add(pyz)
                         used.add(pxz)
                         packed += 1
+                        if packed > k:
+                            return first, packed
         return first, packed
 
     def expand(self, k, frozen, edit=None):
@@ -86,8 +101,8 @@ class _EditSearch(Search):
             op, a, b = edit
             self.trail.append((op, min(a, b), max(a, b)))
             (g.delete_edge if op == "del" else g.add_edge)(a, b)
-        self._drop_clique_components()
-        triple, bound = self._first_conflict_and_bound()
+        triple, bound = self._first_conflict_and_bound(
+            self._drop_clique_components(), k)
         if triple is None:
             return True
         if bound > k:

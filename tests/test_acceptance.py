@@ -357,10 +357,12 @@ def test_criterion_6_speedup_trend(manifest_records):
     ratios = {name: float(pair[0]["speedup"])
               for name, pair in _paired(records).items() if pair[0]["speedup"]}
     med = statistics.median(ratios.values()) if ratios else 0.0
-    worst = min(ratios.values()) if ratios else 0.0
+    worst_row = min(ratios, key=ratios.get, default=None)
+    worst = ratios[worst_row] if ratios else 0.0
     ok = len(ratios) >= 10 and med >= 1.5 and worst > 1.0
     _line("speedup-trend", ok,
-          f"{len(ratios)} pairs, median speedup {med:.2f}x, worst {worst:.2f}x")
+          f"{len(ratios)} pairs, median speedup {med:.2f}x, "
+          f"worst {worst:.2f}x ({worst_row})")
     assert ok, ratios
 
 

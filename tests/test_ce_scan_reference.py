@@ -7,8 +7,11 @@ reference below is the scan it replaces, kept verbatim: it re-sorts
 edit sequences in addition mode, under the edit-once discipline the
 search keeps and with vertices deleted a whole component at a time,
 must give the same (first conflict, packing size) from
-both after every step, on both representations."""
+both after every step, on both representations.  With a budget k the
+scan stops once its packing exceeds k, so it must give the reference's
+first conflict and min(packing size, k + 1)."""
 
+import math
 import random
 
 import pytest
@@ -42,8 +45,9 @@ def ref_first_conflict_and_bound(g):
     return first, packed
 
 
-def _scan(g):
-    return _EditSearch(g, None)._first_conflict_and_bound()
+def _scan(g, k=math.inf):
+    nbrs = {v: g.neighbors(v) for v in g.active_vertices()}
+    return _EditSearch(g, None)._first_conflict_and_bound(nbrs, k)
 
 
 def _random_edit(g, frozen, rng):
@@ -122,3 +126,33 @@ def test_scan_asks_each_path_once(repr_name):
         before = g.counters.calls.get("is_adjacent", 0)
         _scan(g)
         assert g.counters.calls.get("is_adjacent", 0) - before == paths
+
+
+@pytest.mark.parametrize("repr_name", REPR_NAMES)
+def test_budgeted_scan_stops_past_the_budget(repr_name):
+    rng = random.Random(4150 + REPR_NAMES.index(repr_name))
+    cut = 0
+    for trial in range(40):
+        n = rng.randrange(2, 22)
+        m = rng.randrange(0, n * (n - 1) // 2 + 1)
+        g = build_representation(repr_name, "addition",
+                                 *gnm(n, m, rng.randrange(1 << 30)),
+                                 instrumented=True)
+        frozen = set()
+        for _ in range(rng.randrange(5, 20)):
+            if rng.random() < 0.9:
+                _random_edit(g, frozen, rng)
+            elif g.active_count():
+                _drop_component(g, rng)
+            ref_first, ref_packed = ref_first_conflict_and_bound(g)
+            before = g.counters.calls.get("is_adjacent", 0)
+            assert _scan(g) == (ref_first, ref_packed)
+            full = g.counters.calls.get("is_adjacent", 0) - before
+            for k in range(5):
+                before = g.counters.calls.get("is_adjacent", 0)
+                assert _scan(g, k) == (ref_first, min(ref_packed, k + 1))
+                asked = g.counters.calls.get("is_adjacent", 0) - before
+                assert asked <= full
+                cut += asked < full
+    # some budgets do cut a scan short
+    assert cut > 100

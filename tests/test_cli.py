@@ -362,6 +362,8 @@ def test_bench_rejects_malformed_values(runner, tmp_path, key, value):
     ({"problem": "vc-parm", "k": 3, "complement": False}, {}, "complement"),
     ({"problem": "ds"}, {"k": 3}, "k"),
     ({"problem": "vc"}, {"fold": True}, "fold"),
+    ({"problem": "vc-parm", "k": 3, "fold": True}, {}, "fold"),
+    ({"problem": "vc-parm", "k": 3, "fold": True}, {"reprs": ["alist"]}, "fold"),
 ])
 def test_bench_rejects_keys_a_row_cannot_use(runner, tmp_path, row, defaults,
                                              key):
@@ -381,6 +383,18 @@ def test_bench_accepts_complement_on_path_rows(tmp_path, petersen_file):
                      defaults={"reps": 1})
     records, all_ok = run_manifest(path)
     assert all_ok and [r["size"] for r in records] == [6, 6]
+
+
+def test_bench_accepts_fold_where_it_runs(tmp_path):
+    gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
+    path = _manifest(tmp_path, [
+        {"problem": "vc-parm", "k": 6, "generator": gen, "fold": False},
+        {"problem": "vc-parm", "k": 6, "generator": gen, "fold": True,
+         "reprs": ["hybrid"]}], defaults={"reps": 1})
+    records, all_ok = run_manifest(path)
+    assert all_ok
+    assert [(r["repr"], r["fold"]) for r in records] == [
+        ("hybrid", False), ("alist", False), ("hybrid", True)]
 
 
 def test_bench_row_reads_defaults(tmp_path):
