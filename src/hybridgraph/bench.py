@@ -25,25 +25,15 @@ search-tree node counts must match exactly; a mismatch is recorded as
 a row failure.  Rows run one after another in manifest order.  Wall
 times cover the search call only, never parsing or generation.
 
-Row keys: problem (vc | vc-parm | ds | ce), and one of generator/path;
-optional name, k (int, or "planted" with a ce generator), fold,
-reprs, reps, timeout_s, complement, optional (skip silently when the
-path is missing: used for large instance files that are fetched
-separately).  ``defaults`` takes the same keys, and a row's own value
-of a key wins over the default; a ``reps`` passed to ``run_manifest``
-wins over both.  Before any row runs, the manifest is rejected with a
-ValueError naming the row and the key if ``defaults`` or a row holds
-any other key or a value outside ``VALUE_RULES``: k an int >= 0 or
-"planted", reps an int >= 1, timeout_s null or a number >= 0 (a JSON
-boolean is none of these); fold, complement and optional JSON
-booleans; reprs a non-empty list of distinct names from
-``REPR_NAMES``; generator an object of ``GENERATOR_KEYS`` with int
-values; path a string.  It is also rejected if a row merged over
-``defaults`` holds a key its row cannot use (``SCOPE_RULES``): k
-outside vc-parm and ce, fold outside vc-parm, complement on a
-generator row; and, once every row has passed those checks, if a
-vc-parm row has fold true and alist in its reprs (alist has no
-contraction mode).
+Row keys are ``KEYS``: which options each problem takes is
+``PROBLEMS``; what a value must be is ``VALUE_RULES``, and a
+``generator`` entry holds the keys ``GENERATOR_KEYS`` names for its
+kind.  ``optional`` skips a row silently when its path is missing
+(used for large instance files that are fetched separately).
+``defaults`` takes the same keys, and a row's own value of a key wins
+over the default; a ``reps`` passed to ``run_manifest`` wins over both.
+Before any row runs, a malformed manifest is rejected with a
+ValueError naming the row and the key.
 
 A record is the first timed rep's ``SolverResult.as_dict()`` with
 ``wall_ms`` replaced by the median over the reps, plus the row fields
@@ -69,42 +59,71 @@ from .solvers import (
 )
 from .solvers.common import REPR_NAMES
 
-PROBLEMS = ("vc", "vc-parm", "ds", "ce")
+# problem -> (solver, takes k, takes fold)
+PROBLEMS = {
+    "vc": (solve_vc_opt, False, False),
+    "vc-parm": (solve_vc_parm, True, True),
+    "ds": (solve_ds_opt, False, False),
+    "ce": (solve_ce_parm, True, False),
+}
 
 KEYS = frozenset((
     "problem", "generator", "path", "name", "k", "fold", "reprs", "reps",
-    "timeout_s", "complement", "optional",
+    "timeout_s", "optional",
 ))
 
 GENERATOR_KEYS = {"gnm": ("n", "m", "seed"),
                   "ce": ("n", "clusters", "flips", "seed")}
 
 
-def dispatch_solve(problem, n, edges, repr_name, k=None, fold=False,
+def _takers(column):
+    return " and ".join(p for p, row in PROBLEMS.items() if row[column])
+
+
+def check_options(problem, k, fold, reprs):
+    """Raise ValueError unless ``problem`` takes the options given.
+    ``k`` and ``fold`` are None when not given (a manifest's false
+    ``fold`` is given).  Scope comes first, then fold with an alist in
+    ``reprs``: folding runs on the contraction mode, which only the
+    hybrid has."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
+    _solver, takes_k, takes_fold = PROBLEMS[problem]
+    if k is not None and not takes_k:
+        raise ValueError(f"k is only valid for {_takers(1)}")
+    if fold is not None and not takes_fold:
+        raise ValueError(f"fold is only valid for {_takers(2)}")
+    if k is None and takes_k:
+        raise ValueError(f"{problem} requires k")
+    if fold and "alist" in reprs:
+        raise ValueError("fold is only valid for reprs without 'alist' "
+                         "(alist has no contraction mode)")
+
+
+def dispatch_solve(problem, n, edges, repr_name, k=None, fold=None,
                    timeout=None, counters=False):
     """Route one (problem, graph, config) to its solver.  With
     ``counters``, the timed result also carries the operation counters
     of one extra, untimed instrumented run of the same search."""
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
-    if k is None and problem in ("vc-parm", "ce"):
-        raise ValueError(f"{problem} requires k")
-
-    def run(instrumented):
-        kw = {"repr_name": repr_name, "timeout": timeout,
-              "instrumented": instrumented}
-        if problem == "vc":
-            return solve_vc_opt(n, edges, **kw)
-        if problem == "vc-parm":
-            return solve_vc_parm(n, edges, k, fold=fold, **kw)
-        if problem == "ds":
-            return solve_ds_opt(n, edges, **kw)
-        return solve_ce_parm(n, edges, k, **kw)
-
-    res = run(False)
+    check_options(problem, k, fold, (repr_name,))
+    solver, takes_k, _takes_fold = PROBLEMS[problem]
+    args = (k,) if takes_k else ()
+    kw = {"repr_name": repr_name, "timeout": timeout}
+    if fold is not None:
+        kw["fold"] = fold
+    res = solver(n, edges, *args, **kw)
     if counters:
-        res.counters = run(True).counters
+        res.counters = solver(n, edges, *args, **kw, instrumented=True).counters
     return res
+
+
+def make_instance(gen):
+    """The graph a generator entry of ``GENERATOR_KEYS`` describes.
+    Returns (spec, planted_k); planted_k is None for gnm."""
+    if gen["kind"] == "gnm":
+        return gen_random_gnm(gen["n"], gen["m"], gen["seed"]), None
+    return gen_cluster_editing(
+        gen["n"], gen["clusters"], gen["flips"], gen["seed"])
 
 
 def _load_row_instance(cfg, base_dir):
@@ -114,13 +133,9 @@ def _load_row_instance(cfg, base_dir):
     if (gen is None) == (path is None):
         raise ValueError("row needs exactly one of 'generator' or 'path'")
     if gen is None:
-        spec, _warnings = read_instance(os.path.join(base_dir, path),
-                                        complement=cfg.get("complement", False))
+        spec, _warnings = read_instance(os.path.join(base_dir, path))
         return spec, None, None
-    if gen["kind"] == "gnm":
-        return gen_random_gnm(gen["n"], gen["m"], gen["seed"]), gen["seed"], None
-    spec, planted = gen_cluster_editing(
-        gen["n"], gen["clusters"], gen["flips"], gen["seed"])
+    spec, planted = make_instance(gen)
     return spec, gen["seed"], planted
 
 
@@ -166,7 +181,7 @@ def run_row(cfg, base_dir, counters=False):
         reprs = cfg.get("reprs", REPR_NAMES)
         reps = cfg.get("reps", 3)
         timeout = cfg.get("timeout_s")
-        fold = cfg.get("fold", False)
+        fold = cfg.get("fold")
     except (ValueError, OSError) as exc:
         rec = _base_record(cfg)
         rec["status"] = "error"
@@ -212,14 +227,12 @@ def run_row(cfg, base_dir, counters=False):
                     f"{a['repr']}=({a['answer']},{a['size']},{a['nodes']}) "
                     f"{b['repr']}=({b['answer']},{b['size']},{b['nodes']})")
         else:
-            by_repr = {r["repr"]: r for r in ok}
-            if "hybrid" in by_repr and "alist" in by_repr:
-                hy = by_repr["hybrid"]["wall_ms"]
-                al = by_repr["alist"]["wall_ms"]
-                if hy > 0:
-                    ratio = round(al / hy, 3)
-                    for r in ok:
-                        r["speedup"] = ratio
+            # reprs are distinct names, so the pair is one of each
+            wall = {r["repr"]: r["wall_ms"] for r in ok}
+            if wall["hybrid"] > 0:
+                ratio = round(wall["alist"] / wall["hybrid"], 3)
+                for r in ok:
+                    r["speedup"] = ratio
     return records
 
 
@@ -239,7 +252,7 @@ VALUE_RULES = (
     ("timeout_s", "null or a number >= 0",
      lambda x: x is None or type(x) in (int, float) and x >= 0),
     *((key, "true or false", lambda x: type(x) is bool)
-      for key in ("fold", "complement", "optional")),
+      for key in ("fold", "optional")),
     ("reprs", f"a non-empty list of distinct names from {REPR_NAMES}",
      lambda x: type(x) is list and x != [] and all(r in REPR_NAMES for r in x)
      and len(set(x)) == len(x)),
@@ -251,6 +264,8 @@ VALUE_RULES = (
 
 
 def _check_entry(entry, where):
+    if type(entry) is not dict:
+        raise ValueError(f"{where}: must be an object, got {entry!r}")
     for key in entry:
         if key not in KEYS:
             raise ValueError(f"{where}: unknown key {key!r}")
@@ -260,30 +275,13 @@ def _check_entry(entry, where):
                              f"got {entry[key]!r}")
 
 
-# (key, the rows it means something to, test on the merged row)
-SCOPE_RULES = (
-    ("k", "vc-parm and ce rows",
-     lambda cfg: cfg["problem"] in ("vc-parm", "ce")),
-    ("fold", "vc-parm rows", lambda cfg: cfg["problem"] == "vc-parm"),
-    ("complement", "path rows", lambda cfg: "generator" not in cfg),
-)
-
-
-def _check_scope(cfg, where):
+def _check_row_options(cfg, where, reprs):
     # a row with no known problem becomes an error record instead
-    if cfg.get("problem") not in PROBLEMS:
-        return
-    for key, scope, ok in SCOPE_RULES:
-        if key in cfg and not ok(cfg):
-            raise ValueError(f"{where}: {key} is only valid for {scope}")
-
-
-def _check_reprs(cfg, where):
-    # folding runs on the contraction mode, which only the hybrid has
-    if cfg.get("problem") == "vc-parm" and cfg.get("fold") \
-            and "alist" in cfg.get("reprs", REPR_NAMES):
-        raise ValueError(f"{where}: fold is only valid for reprs without "
-                         "'alist' (alist has no contraction mode)")
+    if cfg.get("problem") in PROBLEMS:
+        try:
+            check_options(cfg["problem"], cfg.get("k"), cfg.get("fold"), reprs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def run_manifest(manifest, base_dir=None, reps=None, counters=False):
@@ -299,18 +297,27 @@ def run_manifest(manifest, base_dir=None, reps=None, counters=False):
         data = manifest
     if base_dir is None:
         base_dir = os.getcwd()
+    if type(data) is not dict:
+        raise ValueError("manifest: must be an object with 'defaults' and "
+                         f"'runs', got {type(data).__name__}")
+    for key in data:
+        if key not in ("defaults", "runs"):
+            raise ValueError(f"manifest: unknown key {key!r}")
+    runs = data.get("runs", [])
+    if type(runs) is not list:
+        raise ValueError(f"manifest: runs must be a list, got {runs!r}")
     defaults = data.get("defaults", {})
     override = {} if reps is None else {"reps": reps}
     _check_entry(defaults, "defaults")
     _check_entry(override, "--reps")
     cfgs = []
-    for i, row in enumerate(data.get("runs", [])):
+    for i, row in enumerate(runs):
         _check_entry(row, f"row {i}")
-        cfg = {**defaults, **row, **override}
-        _check_scope(cfg, f"row {i}")
-        cfgs.append(cfg)
+        cfgs.append({**defaults, **row, **override})
+        # no reprs: every row's scope is checked before any fold with alist
+        _check_row_options(cfgs[-1], f"row {i}", ())
     for i, cfg in enumerate(cfgs):
-        _check_reprs(cfg, f"row {i}")
+        _check_row_options(cfg, f"row {i}", cfg.get("reprs", REPR_NAMES))
     records = [rec for cfg in cfgs
                for rec in run_row(cfg, base_dir, counters)]
     all_ok = all(r["status"] in ("ok", "skipped") for r in records)

@@ -18,13 +18,7 @@ import sys
 import click
 
 from . import bench as benchmod
-from .instances import (
-    InstanceFormatError,
-    gen_cluster_editing,
-    gen_random_gnm,
-    read_instance,
-    write_edge_list,
-)
+from .instances import read_instance, write_edge_list
 from .solvers import SolveTimeout
 from .solvers.common import REPR_NAMES
 
@@ -44,7 +38,7 @@ def main():
 
 
 @main.command()
-@click.argument("problem", type=click.Choice(benchmod.PROBLEMS))
+@click.argument("problem", type=click.Choice(tuple(benchmod.PROBLEMS)))
 @click.option("--input", "input_path", required=True,
               help="Instance file (edge list, or DIMACS .col/.clq).")
 @click.option("--repr", "repr_name", default="hybrid",
@@ -53,25 +47,19 @@ def main():
               help="Budget for vc-parm / ce.")
 @click.option("--fold", is_flag=True,
               help="Degree-2 folding (vc-parm with --repr hybrid only).")
-@click.option("--complement", is_flag=True,
-              help="Solve on the complement of a DIMACS instance.")
 @click.option("--timeout-s", type=float, default=None,
               help="Abort the search after this many seconds.")
 @click.option("--counters", is_flag=True,
               help="Add an instrumented run and report operation counters.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the record as JSON.")
-def solve(problem, input_path, repr_name, k, fold, complement,
-          timeout_s, counters, as_json):
+def solve(problem, input_path, repr_name, k, fold, timeout_s, counters,
+          as_json):
     """Solve one instance and print the result record."""
-    if k is None and problem in ("vc-parm", "ce"):
-        _fail(f"{problem} requires --k")
-    if k is not None and problem in ("vc", "ds"):
-        _fail(f"{problem} does not take --k")
-    if fold and problem != "vc-parm":
-        _fail("--fold is only valid for vc-parm")
+    fold = fold or None   # an absent flag is no option given
     try:
-        spec, warnings = read_instance(input_path, complement=complement)
-    except (OSError, InstanceFormatError) as exc:
+        benchmod.check_options(problem, k, fold, (repr_name,))
+        spec, warnings = read_instance(input_path)
+    except (OSError, ValueError) as exc:
         _fail(exc)
     for w in warnings:
         click.echo(f"warning: {w}", err=True)
@@ -87,7 +75,7 @@ def solve(problem, input_path, repr_name, k, fold, complement,
     if as_json:
         click.echo(json.dumps({**res.as_dict(), "instance": spec.name}, indent=2))
     else:
-        if problem in ("vc", "ds"):
+        if k is None:   # an optimization problem
             head = f"{problem} {spec.name}: size {res.size}"
         else:
             head = f"{problem} {spec.name}: {'yes' if res.answer else 'no'} (k={k})"
@@ -133,38 +121,35 @@ def bench(manifest, out, reps, counters):
 
 
 @main.command()
-@click.argument("kind", type=click.Choice(["gnm", "ce"]))
-@click.option("--n", type=int, required=True)
+@click.argument("kind", type=click.Choice(tuple(benchmod.GENERATOR_KEYS)))
+@click.option("--n", type=int, default=None, help="Vertex count.")
 @click.option("--m", type=int, default=None, help="Edge count (gnm).")
 @click.option("--clusters", type=int, default=None, help="Planted cliques (ce).")
 @click.option("--k", "flips", type=int, default=None,
               help="Planted edit count (ce).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def gen(kind, n, m, clusters, flips, seed, out):
+def gen(kind, out, **given):
     """Generate an instance file (plus a .meta.json sidecar for ce)."""
+    keys = benchmod.GENERATOR_KEYS[kind]
+    flag = {p.name: p.opts[0] for p in gen.params}
+    stray = [flag[key] for key in given
+             if given[key] is not None and key not in keys]
+    missing = [flag[key] for key in keys if given[key] is None]
+    if stray:
+        _fail(f"gen {kind} does not take {', '.join(stray)}")
+    if missing:
+        _fail(f"gen {kind} requires {', '.join(missing)}")
+    entry = {"kind": kind, **{key: given[key] for key in keys}}
     try:
-        if kind == "gnm":
-            if m is None:
-                _fail("gnm requires --m")
-            spec = gen_random_gnm(n, m, seed)
-            meta = None
-        else:
-            if clusters is None or flips is None:
-                _fail("ce requires --clusters and --k")
-            spec, planted = gen_cluster_editing(n, clusters, flips, seed)
-            meta = {
-                "planted_k": planted,
-                "generator": {"kind": "ce", "n": n, "clusters": clusters,
-                              "flips": flips, "seed": seed},
-            }
+        spec, planted = benchmod.make_instance(entry)
     except ValueError as exc:
         _fail(exc)
     write_edge_list(spec, out)
-    if meta is not None:
+    if planted is not None:
         sidecar = os.path.splitext(out)[0] + ".meta.json"
         with open(sidecar, "w", encoding="ascii") as fh:
-            json.dump(meta, fh, indent=2)
+            json.dump({"planted_k": planted, "generator": entry}, fh, indent=2)
             fh.write("\n")
         click.echo(f"wrote {out} and {sidecar}", err=True)
     else:

@@ -36,17 +36,7 @@ class InstanceSpec:
         return len(self.edges)
 
 
-def complement_edges(n, edges):
-    present = {(min(u, v), max(u, v)) for u, v in edges}
-    return [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in present
-    ]
-
-
-def parse_dimacs(lines, name="dimacs", complement=False):
+def parse_dimacs(lines, name="dimacs"):
     """Parse DIMACS text (an iterable of lines).  Returns
     (InstanceSpec, warnings)."""
     n = None
@@ -103,9 +93,6 @@ def parse_dimacs(lines, name="dimacs", complement=False):
     if m_declared not in (len(edges), len(edges) + dupes):
         warnings.append(
             f"declared {m_declared} edges, found {len(edges)} distinct")
-    if complement:
-        edges = complement_edges(n, edges)
-        name = name + "-complement"
     edges.sort()
     return InstanceSpec(name, n, edges), warnings
 
@@ -114,9 +101,9 @@ def _basename(path):
     return os.path.splitext(os.path.basename(str(path)))[0]
 
 
-def read_dimacs(path, complement=False):
+def read_dimacs(path):
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return parse_dimacs(fh, name=_basename(path), complement=complement)
+        return parse_dimacs(fh, name=_basename(path))
 
 
 def parse_edge_list(lines, name="edges"):
@@ -164,11 +151,6 @@ def parse_edge_list(lines, name="edges"):
     return InstanceSpec(name, n, edges)
 
 
-def read_edge_list(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh, name=_basename(path))
-
-
 def format_edge_list(spec):
     lines = [f"{spec.n} {len(spec.edges)}"]
     lines.extend(f"{u} {v}" for u, v in sorted(spec.edges))
@@ -180,19 +162,17 @@ def write_edge_list(spec, path):
         fh.write(format_edge_list(spec))
 
 
-def read_instance(path, complement=False):
+def read_instance(path):
     """Load by extension (.col/.clq/.dimacs are DIMACS) with a content
     sniff fallback.  Returns (InstanceSpec, warnings)."""
     lowered = str(path).lower()
     if lowered.endswith((".col", ".clq", ".dimacs")):
-        return read_dimacs(path, complement=complement)
+        return read_dimacs(path)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         text = fh.readlines()
     head = next((l for l in text if l.strip()), "")
     if head.lstrip().startswith(("c", "p")):
-        return parse_dimacs(text, name=_basename(path), complement=complement)
-    if complement:
-        raise InstanceFormatError("complement is only supported for DIMACS input")
+        return parse_dimacs(text, name=_basename(path))
     return parse_edge_list(text, name=_basename(path)), []
 
 

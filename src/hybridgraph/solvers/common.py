@@ -35,10 +35,11 @@ class Deadline:
 
 def timed(depth, root, *args):
     """``root(*args)`` with room for ``depth`` nested search nodes,
-    under a raised recursion limit that is given back on exit, also on
-    a timeout.  Returns (value, wall_ms)."""
+    under a recursion limit raised (never lowered below the caller's)
+    and given back on exit, also on a timeout.  Returns (value,
+    wall_ms)."""
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(10_000, 4 * depth + 100))
+    sys.setrecursionlimit(max(old, 10_000, 4 * depth + 100))
     try:
         t0 = time.perf_counter()
         value = root(*args)

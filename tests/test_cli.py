@@ -59,14 +59,14 @@ def test_solve_decision_exit_codes(runner, petersen_file):
 def test_solve_flag_validation(runner, petersen_file):
     missing_k = runner.invoke(main, ["solve", "ce", "--input", petersen_file])
     assert missing_k.exit_code == 2
-    assert "requires --k" in missing_k.stderr
+    assert "ce requires k" in missing_k.stderr
     stray_k = runner.invoke(
         main, ["solve", "vc", "--input", petersen_file, "--k", "3"])
     assert stray_k.exit_code == 2
     bad_fold = runner.invoke(
         main, ["solve", "ds", "--input", petersen_file, "--fold"])
     assert bad_fold.exit_code == 2
-    assert "--fold" in bad_fold.stderr
+    assert "fold is only valid for vc-parm" in bad_fold.stderr
     fold_alist = runner.invoke(
         main, ["solve", "vc-parm", "--input", petersen_file, "--k", "6",
                "--fold", "--repr", "alist"])
@@ -181,6 +181,23 @@ def test_gen_ce_writes_sidecar(runner, tmp_path):
     meta = json.loads((tmp_path / "planted.meta.json").read_text())
     assert meta["planted_k"] == 5
     assert meta["generator"]["clusters"] == 4
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gnm", "--n", "10", "--m", "5", "--clusters", "3", "--k", "4"],
+     "gen gnm does not take --clusters, --k"),
+    (["ce", "--n", "10", "--clusters", "2", "--k", "1", "--m", "99"],
+     "gen ce does not take --m"),
+    (["ce", "--n", "10", "--clusters", "2"], "gen ce requires --k"),
+    (["gnm", "--m", "3"], "gen gnm requires --n"),
+])
+def test_gen_rejects_flags_the_kind_does_not_use(runner, tmp_path, args,
+                                                 message):
+    out = tmp_path / "x.el"
+    res = runner.invoke(main, ["gen", *args, "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"error: {message}\n" in res.stderr
+    assert not out.exists()
 
 
 def _manifest(tmp_path, rows, defaults=None):
@@ -330,7 +347,7 @@ def test_bench_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("k", "x"), ("k", True), ("k", 2.5), ("reps", 2.5), ("timeout_s", "5"),
-    ("fold", "false"), ("complement", 0), ("optional", "true"),
+    ("fold", "false"), ("fold", 0), ("optional", "true"),
     ("path", 5), ("reprs", "hybrid"), ("reprs", []),
     ("reprs", ["hybrid", "hybrid"]), ("reprs", ["hybrid", "matrix"]),
     ("reprs", [["hybrid"]]), ("path", None),
@@ -355,11 +372,11 @@ def test_bench_rejects_malformed_values(runner, tmp_path, key, value):
 
 
 @pytest.mark.parametrize("row, defaults, key", [
-    ({"problem": "ds", "k": 3, "fold": True, "complement": True}, {}, "k"),
+    ({"problem": "ds", "k": 3, "fold": True}, {}, "k"),
     ({"problem": "vc", "k": 3}, {}, "k"),
     ({"problem": "ds", "fold": True}, {}, "fold"),
     ({"problem": "ce", "k": 3, "fold": False}, {}, "fold"),
-    ({"problem": "vc-parm", "k": 3, "complement": False}, {}, "complement"),
+    ({"problem": "vc", "k": 0}, {}, "k"),
     ({"problem": "ds"}, {"k": 3}, "k"),
     ({"problem": "vc"}, {"fold": True}, "fold"),
     ({"problem": "vc-parm", "k": 3, "fold": True}, {}, "fold"),
@@ -377,12 +394,57 @@ def test_bench_rejects_keys_a_row_cannot_use(runner, tmp_path, row, defaults,
     assert res.stdout == ""
 
 
-def test_bench_accepts_complement_on_path_rows(tmp_path, petersen_file):
-    path = _manifest(tmp_path, [{"problem": "vc", "path": petersen_file,
-                                 "complement": False}],
-                     defaults={"reps": 1})
-    records, all_ok = run_manifest(path)
-    assert all_ok and [r["size"] for r in records] == [6, 6]
+@pytest.mark.parametrize("data, message", [
+    ([{"problem": "vc"}], "manifest: must be an object"),
+    ({"runs": [5]}, "row 0: must be an object, got 5"),
+    ({"run": [{"problem": "vc", "path": "g.el"}]},
+     "manifest: unknown key 'run'"),
+    ({"runs": {"problem": "vc", "path": "g.el"}},
+     "manifest: runs must be a list"),
+    ({"defaults": [], "runs": []}, "defaults: must be an object, got []"),
+])
+def test_bench_rejects_malformed_manifest_shapes(runner, tmp_path, data,
+                                                 message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["bench", str(path)])
+    assert res.exit_code == 2
+    assert f"error: {message}" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("problem, k, fold, repr_name", [
+    ("vc", 3, None, "hybrid"),
+    ("ds", 0, None, "alist"),
+    ("vc-parm", None, None, "hybrid"),
+    ("ce", None, None, "alist"),
+    ("vc", None, True, "hybrid"),
+    ("ce", 3, True, "hybrid"),
+    ("vc-parm", None, True, "hybrid"),
+    ("vc-parm", 3, True, "alist"),
+])
+def test_solve_and_bench_reject_the_same_options(runner, tmp_path,
+                                                 petersen_file, problem, k,
+                                                 fold, repr_name):
+    # both front ends ask check_options, so their messages cannot drift
+    with pytest.raises(ValueError) as exc:
+        benchmod.check_options(problem, k, fold, (repr_name,))
+    message = str(exc.value)
+    assert "k" in message or "fold" in message
+    given = {key: value for key, value in (("k", k), ("fold", fold))
+             if value is not None}
+    flags = [*(["--k", str(k)] if k is not None else []),
+             *(["--fold"] if fold else [])]
+    res = runner.invoke(main, ["solve", problem, "--input", petersen_file,
+                               "--repr", repr_name, *flags])
+    assert res.exit_code == 2
+    assert f"error: {message}\n" in res.stderr
+    path = _manifest(tmp_path, [{"problem": problem, "path": petersen_file,
+                                 "reprs": [repr_name], **given}])
+    res = runner.invoke(main, ["bench", str(path)])
+    assert res.exit_code == 2
+    assert f"error: row 0: {message}\n" in res.stderr
+    assert res.stdout == ""
 
 
 def test_bench_accepts_fold_where_it_runs(tmp_path):

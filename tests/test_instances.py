@@ -4,7 +4,6 @@ import pytest
 
 from hybridgraph.instances import (
     InstanceFormatError,
-    complement_edges,
     format_edge_list,
     gen_cluster_editing,
     gen_random_gnm,
@@ -65,21 +64,6 @@ def test_parse_dimacs_count_mismatch_warns():
 def test_parse_dimacs_rejects(text, fragment):
     with pytest.raises(InstanceFormatError, match=fragment):
         parse_dimacs(text.splitlines())
-
-
-def test_parse_dimacs_complement():
-    spec, _ = parse_dimacs(DIMACS_SAMPLE.splitlines(), name="tiny", complement=True)
-    assert spec.name == "tiny-complement"
-    direct = {(0, 1), (0, 4), (1, 2), (2, 3)}
-    assert set(spec.edges) == {
-        (u, v) for u in range(5) for v in range(u + 1, 5)
-    } - direct
-
-
-def test_complement_of_complement_is_identity():
-    spec = gen_random_gnm(9, 14, seed=3)
-    twice = complement_edges(9, complement_edges(9, spec.edges))
-    assert sorted(twice) == spec.edges
 
 
 def test_edge_list_round_trip(tmp_path):

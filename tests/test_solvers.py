@@ -338,6 +338,21 @@ def test_solvers_restore_recursion_limit():
         sys.setrecursionlimit(old)
 
 
+def test_solvers_keep_a_higher_caller_recursion_limit():
+    # lowering the limit to 10,000 from 12,000 frames deep would raise
+    # RecursionError
+    def descend(depth):
+        return descend(depth - 1) if depth else solve_vc_opt(3, [(0, 1), (1, 2)])
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(50_000)
+    try:
+        assert descend(12_000).answer == 1
+        assert sys.getrecursionlimit() == 50_000
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def test_deadline_holds_on_expensive_nodes():
     # about 5 ms per node here; a deadline polled every 1024 nodes
     # overran 0.2 s by about 6 s
