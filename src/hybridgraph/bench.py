@@ -19,10 +19,10 @@ A manifest is a JSON file:
 Each run row is solved `reps` times per representation, reporting the
 median wall time.  The representations take turns rep by rep (hybrid,
 alist, hybrid, ...), so a drift in host speed lands on both sides of
-the row's `speedup`; one that times out or errors drops out of the
-rotation.  When a row covers both representations their answers and
-search-tree node counts must match exactly; a mismatch is recorded as
-a row failure.  Rows run one after another in manifest order.  Wall
+the row's `speedup`; one that times out drops out of the rotation.
+When a row covers both representations their answers and search-tree
+node counts must match exactly; a mismatch is recorded as a row
+failure.  Rows run one after another in manifest order.  Wall
 times cover the search call only, never parsing or generation.
 
 Row keys are ``KEYS``: which options each problem takes is
@@ -32,8 +32,12 @@ kind.  ``optional`` skips a row silently when its path is missing
 (used for large instance files that are fetched separately).
 ``defaults`` takes the same keys, and a row's own value of a key wins
 over the default; a ``reps`` passed to ``run_manifest`` wins over both.
-Before any row runs, a malformed manifest is rejected with a
-ValueError naming the row and the key.
+Before any row runs, each row is merged and checked once, in manifest
+order: ``_check_entry`` checks its keys and values and ``check_row``
+whether it can run.  The first bad row raises a ValueError naming the
+row; once the rows have passed, nothing downstream checks them again.
+Only what fails at run time (an unreadable file, a generator's range
+error) becomes an error record, and later rows still run.
 
 A record is the first timed rep's ``SolverResult.as_dict()`` with
 ``wall_ms`` replaced by the median over the reps, plus the row fields
@@ -104,8 +108,8 @@ def dispatch_solve(problem, n, edges, repr_name, k=None, fold=None,
                    timeout=None, counters=False):
     """Route one (problem, graph, config) to its solver.  With
     ``counters``, the timed result also carries the operation counters
-    of one extra, untimed instrumented run of the same search."""
-    check_options(problem, k, fold, (repr_name,))
+    of one extra, untimed instrumented run of the same search.  The
+    caller has passed the options through ``check_options``."""
     solver, takes_k, _takes_fold = PROBLEMS[problem]
     args = (k,) if takes_k else ()
     kw = {"repr_name": repr_name, "timeout": timeout}
@@ -126,67 +130,45 @@ def make_instance(gen):
         gen["n"], gen["clusters"], gen["flips"], gen["seed"])
 
 
-def _load_row_instance(cfg, base_dir):
-    """Materialize the row's graph.  Returns (spec, seed, planted_k)."""
-    gen = cfg.get("generator")
-    path = cfg.get("path")
-    if (gen is None) == (path is None):
-        raise ValueError("row needs exactly one of 'generator' or 'path'")
-    if gen is None:
-        spec, _warnings = read_instance(os.path.join(base_dir, path))
-        return spec, None, None
-    spec, planted = make_instance(gen)
-    return spec, gen["seed"], planted
-
-
-def _base_record(cfg, repr_name=None):
+def _base_record(cfg, repr_name=None, status="ok", error=None):
     return {
         "name": cfg.get("name"),
         "problem": cfg.get("problem"),
         "repr": repr_name,
         "seed": cfg.get("seed"),
         "speedup": None,
-        "status": "ok",
-        "error": None,
+        "status": status,
+        "error": error,
     }
 
 
 def run_row(cfg, base_dir, counters=False):
     """Execute one manifest row, already merged over the manifest's
-    ``defaults``.  Returns a list of records, one per representation
-    (or a single error/skipped record)."""
+    ``defaults`` and passed by ``check_row``.  Returns a list of
+    records, one per representation, or a single record when the
+    instance cannot be made: ``skipped`` for a missing optional file,
+    ``error`` for an unreadable file or a generator's range error."""
     cfg = dict(cfg)
-    problem = cfg.get("problem")
+    gen, path = cfg.get("generator"), cfg.get("path")
+    if gen is None and cfg.get("optional") and not os.path.exists(
+            os.path.join(base_dir, path)):
+        return [_base_record(cfg, status="skipped",
+                             error=f"missing optional file {path}")]
     try:
-        if problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {problem!r}")
-        path = cfg.get("path")
-        if (
-            cfg.get("optional", False)
-            and path is not None
-            and not os.path.exists(os.path.join(base_dir, path))
-        ):
-            rec = _base_record(cfg)
-            rec["status"] = "skipped"
-            rec["error"] = f"missing optional file {path}"
-            return [rec]
-        spec, seed, planted = _load_row_instance(cfg, base_dir)
-        k = cfg.get("k")
-        if k == "planted":
-            if planted is None:
-                raise ValueError("'planted' k needs a ce generator")
-            k = planted
-        cfg["seed"] = seed
-        cfg["name"] = cfg.get("name") or spec.name
-        reprs = cfg.get("reprs", REPR_NAMES)
-        reps = cfg.get("reps", 3)
-        timeout = cfg.get("timeout_s")
-        fold = cfg.get("fold")
+        if gen is None:
+            spec, _warnings = read_instance(os.path.join(base_dir, path))
+        else:
+            spec, planted = make_instance(gen)
+            cfg["seed"] = gen["seed"]
     except (ValueError, OSError) as exc:
-        rec = _base_record(cfg)
-        rec["status"] = "error"
-        rec["error"] = str(exc)
-        return [rec]
+        return [_base_record(cfg, status="error", error=str(exc))]
+    problem, k, fold = cfg["problem"], cfg.get("k"), cfg.get("fold")
+    if k == "planted":
+        k = planted
+    cfg["name"] = cfg.get("name") or spec.name
+    reprs = cfg.get("reprs", REPR_NAMES)
+    reps = cfg.get("reps", 3)
+    timeout = cfg.get("timeout_s")
 
     runs = [(_base_record(cfg, repr_name), []) for repr_name in reprs]
     for _ in range(reps):
@@ -201,9 +183,6 @@ def run_row(cfg, base_dir, counters=False):
             except SolveTimeout:
                 rec["status"] = "timeout"
                 rec["error"] = f"timeout after {timeout}s"
-            except ValueError as exc:
-                rec["status"] = "error"
-                rec["error"] = str(exc)
     for rec, results in runs:
         if rec["status"] != "ok":
             continue
@@ -275,13 +254,22 @@ def _check_entry(entry, where):
                              f"got {entry[key]!r}")
 
 
-def _check_row_options(cfg, where, reprs):
-    # a row with no known problem becomes an error record instead
-    if cfg.get("problem") in PROBLEMS:
-        try:
-            check_options(cfg["problem"], cfg.get("k"), cfg.get("fold"), reprs)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+def check_row(cfg, where):
+    """Raise ``ValueError("<where>: ...")`` unless the merged row ``cfg``
+    can run: ``check_options`` accepts its problem and options (an
+    unknown or missing problem included), it names exactly one of
+    ``generator`` and ``path``, and a ``"planted"`` k comes with a ce
+    generator.  Values are ``_check_entry``'s business."""
+    try:
+        check_options(cfg.get("problem"), cfg.get("k"), cfg.get("fold"),
+                      cfg.get("reprs", REPR_NAMES))
+        gen = cfg.get("generator")
+        if (gen is None) == (cfg.get("path") is None):
+            raise ValueError("needs exactly one of 'generator' or 'path'")
+        if cfg.get("k") == "planted" and (gen is None or gen["kind"] != "ce"):
+            raise ValueError("'planted' k needs a ce generator")
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def run_manifest(manifest, base_dir=None, reps=None, counters=False):
@@ -314,10 +302,7 @@ def run_manifest(manifest, base_dir=None, reps=None, counters=False):
     for i, row in enumerate(runs):
         _check_entry(row, f"row {i}")
         cfgs.append({**defaults, **row, **override})
-        # no reprs: every row's scope is checked before any fold with alist
-        _check_row_options(cfgs[-1], f"row {i}", ())
-    for i, cfg in enumerate(cfgs):
-        _check_row_options(cfg, f"row {i}", cfg.get("reprs", REPR_NAMES))
+        check_row(cfgs[-1], f"row {i}")
     records = [rec for cfg in cfgs
                for rec in run_row(cfg, base_dir, counters)]
     all_ok = all(r["status"] in ("ok", "skipped") for r in records)

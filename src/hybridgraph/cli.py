@@ -100,16 +100,18 @@ def solve(problem, input_path, repr_name, k, fold, timeout_s, counters,
               help="Add an untimed instrumented run per row.")
 def bench(manifest, out, reps, counters):
     """Run a benchmark manifest and write its records as JSON."""
-    try:
-        records, all_ok = benchmod.run_manifest(
-            manifest, reps=reps, counters=counters)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    try:   # an unwritable --out fails before any row runs
+        fh = click.open_file(out, "w", encoding="ascii")
+    except OSError as exc:
         _fail(exc)
-    if out == "-":
-        benchmod.write_json(records, sys.stdout)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            benchmod.write_json(records, fh)
+    with fh:
+        try:
+            records, all_ok = benchmod.run_manifest(
+                manifest, reps=reps, counters=counters)
+        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            _fail(exc)
+        benchmod.write_json(records, fh)
+    if out != "-":
         click.echo(f"wrote {len(records)} records to {out}", err=True)
     bad = [r for r in records if r["status"] not in ("ok", "skipped")]
     for rec in bad:
@@ -145,15 +147,20 @@ def gen(kind, out, **given):
         spec, planted = benchmod.make_instance(entry)
     except ValueError as exc:
         _fail(exc)
-    write_edge_list(spec, out)
-    if planted is not None:
-        sidecar = os.path.splitext(out)[0] + ".meta.json"
-        with open(sidecar, "w", encoding="ascii") as fh:
-            json.dump({"planted_k": planted, "generator": entry}, fh, indent=2)
-            fh.write("\n")
-        click.echo(f"wrote {out} and {sidecar}", err=True)
-    else:
-        click.echo(f"wrote {out} ({spec.n} vertices, {spec.m} edges)", err=True)
+    try:
+        write_edge_list(spec, out)
+        if planted is None:
+            click.echo(f"wrote {out} ({spec.n} vertices, {spec.m} edges)",
+                       err=True)
+        else:
+            sidecar = os.path.splitext(out)[0] + ".meta.json"
+            with open(sidecar, "w", encoding="ascii") as fh:
+                json.dump({"planted_k": planted, "generator": entry}, fh,
+                          indent=2)
+                fh.write("\n")
+            click.echo(f"wrote {out} and {sidecar}", err=True)
+    except OSError as exc:
+        _fail(exc)
 
 
 if __name__ == "__main__":

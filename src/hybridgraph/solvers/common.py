@@ -1,5 +1,5 @@
-"""Shared solver plumbing: the search scaffold, results, deadlines,
-representation factory."""
+"""Shared solver plumbing: the search scaffold with its deadline,
+results, representation factory."""
 
 import sys
 import time
@@ -16,21 +16,6 @@ REPR_NAMES = ("hybrid", "alist")
 
 class SolveTimeout(Exception):
     """Raised when a solver runs past its deadline."""
-
-
-class Deadline:
-    """Monotonic-clock budget; solvers poll it at every search node."""
-
-    __slots__ = ("t_end",)
-
-    def __init__(self, seconds=None):
-        if seconds is not None and not seconds >= 0:  # also rejects NaN
-            raise ValueError(f"timeout must be a non-negative number of "
-                             f"seconds, got {seconds!r}")
-        self.t_end = None if seconds is None else time.monotonic() + seconds
-
-    def expired(self):
-        return self.t_end is not None and time.monotonic() > self.t_end
 
 
 def timed(depth, root, *args):
@@ -57,17 +42,21 @@ class Search:
     part of the witness) are dropped unless ``expand`` returned True,
     so a decision search that succeeds keeps its witness and an
     optimization search, whose ``expand`` returns None, always rolls
-    back."""
+    back.  ``timeout`` is None or seconds on the monotonic clock; the
+    deadline is polled at every node."""
 
     def __init__(self, g, timeout):
+        if timeout is not None and not timeout >= 0:  # also rejects NaN
+            raise ValueError(f"timeout must be a non-negative number of "
+                             f"seconds, got {timeout!r}")
         self.g = g
-        self.deadline = Deadline(timeout)
+        self.t_end = None if timeout is None else time.monotonic() + timeout
         self.nodes = 0
         self.trail = []
 
     def node(self, *args):
         self.nodes += 1
-        if self.deadline.expired():
+        if self.t_end is not None and time.monotonic() > self.t_end:
             raise SolveTimeout
         snap = self.g.snapshot()
         mark = len(self.trail)

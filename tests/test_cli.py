@@ -390,8 +390,70 @@ def test_bench_rejects_keys_a_row_cannot_use(runner, tmp_path, row, defaults,
                      defaults={"reps": 1, **defaults})
     res = runner.invoke(main, ["bench", str(path)])
     assert res.exit_code == 2
-    assert f"row 1: {key} is only valid for" in res.stderr
+    # a fold default also reaches row 0, which runs on alist, and the
+    # first bad row in manifest order is the one reported
+    where = 0 if defaults.get("fold") else 1
+    assert f"row {where}: {key} is only valid for" in res.stderr
     assert res.stdout == ""
+
+
+GEN = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
+
+
+@pytest.mark.parametrize("defaults, first, bad, message", [
+    ({}, {"problem": "ds", "generator": GEN},
+     {"problem": "ds", "generator": GEN, "path": "g.el"},
+     "row 1: needs exactly one of 'generator' or 'path'"),
+    ({}, {"problem": "ds", "generator": GEN},
+     {"problem": "ce", "k": "planted", "generator": GEN},
+     "row 1: 'planted' k needs a ce generator"),
+    ({}, {"problem": "ds", "generator": GEN},
+     {"problem": "ce", "k": "planted", "path": "missing.el"},
+     "row 1: 'planted' k needs a ce generator"),
+    ({}, {"problem": "ds", "generator": GEN},
+     {"problem": "mis", "generator": GEN}, "row 1: unknown problem 'mis'"),
+    ({}, {"problem": "ds", "generator": GEN}, {"generator": GEN},
+     "row 1: unknown problem None"),
+    ({"path": "g.el"}, {"problem": "ds"}, {"problem": "ds", "generator": GEN},
+     "row 1: needs exactly one of 'generator' or 'path'"),
+], ids=["generator-and-path", "planted-on-gnm", "planted-on-path",
+        "unknown-problem", "no-problem", "path-from-defaults"])
+def test_bench_rejects_rows_that_cannot_run_before_any_row_runs(
+        runner, tmp_path, monkeypatch, defaults, first, bad, message):
+    calls = []
+    monkeypatch.setattr(benchmod, "dispatch_solve",
+                        lambda *args, **kw: calls.append(args))
+    write_edge_list(gen_random_gnm(12, 20, seed=1), tmp_path / "g.el")
+    path = _manifest(tmp_path, [first, bad], defaults={"reps": 1, **defaults})
+    res = runner.invoke(main, ["bench", str(path)])
+    assert res.exit_code == 2
+    assert f"error: {message}\n" in res.stderr
+    assert res.stdout == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("args", [
+    ["gnm", "--n", "3", "--m", "1"],
+    ["ce", "--n", "6", "--clusters", "2", "--k", "1"],
+])
+def test_gen_unwritable_out_is_an_error(runner, tmp_path, args):
+    out = tmp_path / "missing" / "x.el"
+    res = runner.invoke(main, ["gen", *args, "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"error: [Errno 2] No such file or directory: '{out}'" in res.stderr
+
+
+def test_bench_unwritable_out_fails_before_any_row(runner, tmp_path,
+                                                    monkeypatch):
+    calls = []
+    monkeypatch.setattr(benchmod, "dispatch_solve",
+                        lambda *args, **kw: calls.append(args))
+    path = _manifest(tmp_path, [{"problem": "ds", "generator": GEN}])
+    out = tmp_path / "missing" / "r.json"
+    res = runner.invoke(main, ["bench", str(path), "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"error: [Errno 2] No such file or directory: '{out}'" in res.stderr
+    assert calls == []
 
 
 @pytest.mark.parametrize("data, message", [
@@ -466,11 +528,9 @@ def test_bench_row_reads_defaults(tmp_path):
     records, all_ok = run_manifest(path)
     assert all_ok
     assert [(r["repr"], r["k"]) for r in records] == [("hybrid", 6), ("alist", 6)]
-    # a row with no problem anywhere is an error row, not a crash
-    records, all_ok = run_manifest(_manifest(tmp_path, [{"generator": gen}]))
-    assert not all_ok
-    assert [(r["status"], r["error"]) for r in records] == [
-        ("error", "unknown problem None")]
+    # a row with no problem anywhere is rejected before any row runs
+    with pytest.raises(ValueError, match="row 0: unknown problem None"):
+        run_manifest(_manifest(tmp_path, [{"generator": gen}]))
 
 
 @pytest.mark.parametrize("problem, repr_name, extra, row", [

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from hybridgraph.solvers import (
-    Deadline,
     SolveTimeout,
     solve_ce_parm,
     solve_ds_opt,
@@ -263,8 +262,6 @@ def test_empty_graph_solves():
 
 @pytest.mark.parametrize("seconds", [float("nan"), -1])
 def test_bad_timeout_raises(seconds):
-    with pytest.raises(ValueError, match="timeout"):
-        Deadline(seconds)
     with pytest.raises(ValueError, match="timeout"):
         solve_vc_opt(*path(4), timeout=seconds)
 
