@@ -256,12 +256,14 @@ def _check_entry(entry, where):
 
 def check_row(cfg, where):
     """Raise ``ValueError("<where>: ...")`` unless the merged row ``cfg``
-    can run: ``check_options`` accepts its problem and options (an
-    unknown or missing problem included), it names exactly one of
+    can run: it names a problem, ``check_options`` accepts that
+    problem and its options, it names exactly one of
     ``generator`` and ``path``, and a ``"planted"`` k comes with a ce
     generator.  Values are ``_check_entry``'s business."""
     try:
-        check_options(cfg.get("problem"), cfg.get("k"), cfg.get("fold"),
+        if cfg.get("problem") is None:
+            raise ValueError("missing 'problem'")
+        check_options(cfg["problem"], cfg.get("k"), cfg.get("fold"),
                       cfg.get("reprs", REPR_NAMES))
         gen = cfg.get("generator")
         if (gen is None) == (cfg.get("path") is None):

@@ -15,6 +15,14 @@ are adjacent sends both into the cover, otherwise the three are folded
 into one color for a budget of one.  The trail holds taken vertices and
 folds; one backward replay turns it into the witness.
 
+Each node's bookkeeping is one degree scan.  The reduction loop's last
+scan, the one that fires no rule, has seen every active vertex, so it
+also sums the degrees into the edge count and keeps the branching
+vertex; a separate edge count or maximum-degree pass would read the
+same degrees again.  The optimizer's bound stops as soon as the node's
+fate is known: ⌈m/Δ⌉ alone often prunes it, and otherwise the matching
+stops once it reaches what the incumbent leaves.
+
 Every decision is made in canonical order (lowest id wins ties), so
 node counts are identical across representations.
 """
@@ -32,16 +40,39 @@ def _delete(g, trail, take, drop):
 
 
 def _reduce(g, trail, k=None, fold=False):
-    """Apply the reduction rules until none fires: degree 0 (delete),
-    degree 1 (take the neighbor), and with a budget ``k`` degree > k
-    (take the vertex).  ``fold`` adds the degree-2 rules: take both
-    neighbors of a triangle, or else contract the vertex and its two
-    neighbors into one color for a budget of one, logging the fold on
-    the trail for ``_unfold``.  Returns the remaining budget, or None if
-    it ran out."""
+    """Apply the reduction rules until none fires, in this order: degree
+    0 (delete), degree 1 (take the neighbor), and with a budget ``k``
+    degree > k (take the vertex).  ``fold`` adds the degree-2 rules:
+    take both neighbors of a triangle, or else contract the vertex and
+    its two neighbors into one color for a budget of one, logging the
+    fold on the trail for ``_unfold``.
+
+    Returns ``(k, m, top)``: the remaining budget, the active edge count
+    and the active vertex of maximum degree (lowest id on ties, None if
+    none is left), or None if the budget ran out.  These come from the
+    last scan, which fires no rule: it visits every active vertex, and
+    deleting a degree-0 vertex changes no other degree.  A vertex no
+    rule can touch (degree at least 2, or 3 with ``fold``, and at most
+    the budget) takes the fast path, which adds its degree to the sum
+    and keeps the first vertex of strictly larger degree; ids ascend,
+    so that is ``max_degree_vertex``'s lowest-id tie break.  Every
+    other vertex of a completed scan had degree 0 and is gone, so the
+    sum is twice the edge count.  In contraction mode ``degree`` is the
+    color degree, so all of this holds over colors."""
+    lo = 2 if fold else 1
     while True:
+        hi = g.n if k is None else k
+        total = 0
+        top = None
+        top_d = 0
         for v in sorted(g.active_vertices()):
             d = g.degree(v)
+            if lo < d <= hi:
+                total += d
+                if d > top_d:
+                    top = v
+                    top_d = d
+                continue
             if d == 0:
                 g.delete_vertex(v)
                 continue
@@ -68,7 +99,7 @@ def _reduce(g, trail, k=None, fold=False):
             _delete(g, trail, take, drop)
             break
         else:
-            return k
+            return k, total // 2, top
 
 
 def _unfold(trail):
@@ -106,9 +137,16 @@ class _OptSearch(Search):
         g.restore(snap)
         return cover
 
-    def lower_bound(self, m, delta):
-        """Cover size still needed by a graph of ``m > 0`` edges and
-        maximum degree ``delta``."""
+    def lower_bound(self, m, delta, need):
+        """Whether a graph of ``m > 0`` edges and maximum degree
+        ``delta`` may still have a cover of fewer than ``need``
+        vertices, i.e. whether the larger of edges over maximum degree
+        (no vertex covers more than Δ edges) and a greedy maximal
+        matching (a cover takes one end of every matched edge) stays
+        below ``need``.  It is False as soon as either reaches ``need``:
+        ⌈m/Δ⌉ is tried first, and the matching stops there too."""
+        if -(-m // delta) >= need:
+            return False
         g = self.g
         matched = set()
         size = 0
@@ -120,8 +158,10 @@ class _OptSearch(Search):
                     matched.add(u)
                     matched.add(w)
                     size += 1
+                    if size >= need:
+                        return False
                     break
-        return max(size, -(-m // delta))
+        return True
 
     def run(self):
         self.best = self.greedy_cover()
@@ -133,14 +173,12 @@ class _OptSearch(Search):
         g = self.g
         trail = self.trail
         _delete(g, trail, take, drop)
-        _reduce(g, trail)
-        m = g.active_edge_count()
+        _k, m, v = _reduce(g, trail)
         if m == 0:
             if len(trail) < len(self.best):
                 self.best = list(trail)
             return
-        v = g.max_degree_vertex()
-        if len(trail) + self.lower_bound(m, g.degree(v)) < len(self.best):
+        if self.lower_bound(m, g.degree(v), len(self.best) - len(trail)):
             nbrs = sorted(g.neighbors(v))
             self.node((v,))
             if len(trail) + len(nbrs) < len(self.best):
@@ -166,15 +204,14 @@ class _ParmSearch(Search):
     def expand(self, k, take, drop=()):
         g = self.g
         _delete(g, self.trail, take, drop)
-        k = _reduce(g, self.trail, k - len(take), self.fold)
-        if k is None:
+        reduced = _reduce(g, self.trail, k - len(take), self.fold)
+        if reduced is None:
             return False
-        m = g.active_edge_count()
+        k, m, v = reduced
         if m == 0:
             return True
         if k <= 0 or m > k * k:
             return False
-        v = g.max_degree_vertex()
         if self.node(k, (v,)):
             return True
         nbrs = sorted(g.neighbors(v))

@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the representation code:
 inputs are (n, edges) with edges as 0-indexed pairs, state is plain
-bitmasks, and no module from this package is imported.  The point is to
+bitmasks, and no hybridgraph module is imported.  The point is to
 have answers the real solvers can be judged against, so clarity beats
 speed everywhere.
 

@@ -22,7 +22,6 @@ from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import HybridGraph
 from hybridgraph.instances import gen_cluster_editing, gen_random_gnm, read_dimacs
 from hybridgraph.instrumented import counting
-from hybridgraph.oracle import brute_ce, brute_ds, brute_vc
 from hybridgraph.solvers import (
     SolveTimeout,
     solve_ce_parm,
@@ -33,6 +32,7 @@ from hybridgraph.solvers import (
 )
 from helpers import color_members
 from mirrors import EdgeSetMirror, QuotientMirror
+from oracle import brute_ce, brute_ds, brute_vc
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = REPO_ROOT / "benchmarks" / "manifest.json"

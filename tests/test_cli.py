@@ -413,7 +413,7 @@ GEN = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
     ({}, {"problem": "ds", "generator": GEN},
      {"problem": "mis", "generator": GEN}, "row 1: unknown problem 'mis'"),
     ({}, {"problem": "ds", "generator": GEN}, {"generator": GEN},
-     "row 1: unknown problem None"),
+     "row 1: missing 'problem'"),
     ({"path": "g.el"}, {"problem": "ds"}, {"problem": "ds", "generator": GEN},
      "row 1: needs exactly one of 'generator' or 'path'"),
 ], ids=["generator-and-path", "planted-on-gnm", "planted-on-path",
@@ -529,7 +529,7 @@ def test_bench_row_reads_defaults(tmp_path):
     assert all_ok
     assert [(r["repr"], r["k"]) for r in records] == [("hybrid", 6), ("alist", 6)]
     # a row with no problem anywhere is rejected before any row runs
-    with pytest.raises(ValueError, match="row 0: unknown problem None"):
+    with pytest.raises(ValueError, match="row 0: missing 'problem'"):
         run_manifest(_manifest(tmp_path, [{"generator": gen}]))
 
 

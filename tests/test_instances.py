@@ -12,8 +12,9 @@ from hybridgraph.instances import (
     read_instance,
     write_edge_list,
 )
-from hybridgraph.oracle import brute_ce
 from hybridgraph.solvers import solve_ce_parm, verify_ce
+
+from oracle import brute_ce
 
 DIMACS_SAMPLE = """\
 c tiny test graph

@@ -6,9 +6,8 @@ import math
 
 import pytest
 
-from hybridgraph.oracle import brute_ce, brute_ds, brute_vc
-
 from helpers import clique, cycle, gnm, path, petersen, star
+from oracle import brute_ce, brute_ds, brute_vc
 
 
 def test_vc_closed_forms():

@@ -21,7 +21,7 @@ from hybridgraph.solvers import (
 from hybridgraph.instances import gen_cluster_editing, gen_random_gnm
 
 from helpers import G8_EDGES, G8_N, clique, cycle, gnm, path, petersen, star
-from hybridgraph.oracle import brute_ce, brute_ds, brute_vc
+from oracle import brute_ce, brute_ds, brute_vc
 
 REPRS = ("hybrid", "alist")
 
