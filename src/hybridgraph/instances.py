@@ -12,13 +12,18 @@ Two on-disk formats:
   endpoints stay hard errors.
 
 Generators return sorted edge lists, so an instance is reproducible
-from its parameters alone.
+from its parameters alone, and build them without per-pair work:
+``gen_random_gnm`` samples m pair ranks, sorts them and walks them row
+by row; ``gen_cluster_editing`` lists each cluster's pairs in order and
+merges in its sorted toggled pairs.  tests/test_instance_digests.py
+pins what each returns.
 """
 
 import os
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import combinations
 
 
 class InstanceFormatError(ValueError):
@@ -176,17 +181,18 @@ def read_instance(path):
     return parse_edge_list(text, name=_basename(path)), []
 
 
-def _pair_offsets(n):
-    # offsets[u] = rank of pair (u, u+1) in lexicographic pair order
-    offsets = [0] * max(n, 1)
-    for u in range(1, n):
-        offsets[u] = offsets[u - 1] + (n - u)
-    return offsets
-
-
-def _unrank_pair(offsets, t):
-    u = bisect_right(offsets, t) - 1
-    return u, u + 1 + (t - offsets[u])
+def _rank_pairs(n, ranks):
+    """The pairs (u, v), u < v < n, at the ascending ranks `ranks` of
+    lexicographic pair order: (0, 1) is rank 0 and (n-2, n-1) the last.
+    Row u holds the n-1-u pairs (u, *); `end` is the rank just past it."""
+    pairs = []
+    u, end = 0, n - 1
+    for t in ranks:
+        while t >= end:
+            u += 1
+            end += n - 1 - u
+        pairs.append((u, t - end + n))
+    return pairs
 
 
 def gen_random_gnm(n, m, seed):
@@ -197,9 +203,8 @@ def gen_random_gnm(n, m, seed):
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise ValueError(f"m must be within [0, {total}], got {m}")
-    offsets = _pair_offsets(n)
     rng = random.Random(seed)
-    edges = [_unrank_pair(offsets, t) for t in sorted(rng.sample(range(total), m))]
+    edges = _rank_pairs(n, sorted(rng.sample(range(total), m)))
     return InstanceSpec(f"gnm-n{n}-m{m}-s{seed}", n, edges)
 
 
@@ -212,20 +217,29 @@ def gen_cluster_editing(n, clusters, flips, seed):
     total = n * (n - 1) // 2
     if not 0 <= flips <= total:
         raise ValueError(f"flips must be within [0, {total}], got {flips}")
-    base = n // clusters
-    extra = n % clusters
-    label = []
+    # the first n % clusters clusters hold one vertex more; each is a
+    # run of consecutive ids, so its pairs come out in sorted order
+    base, extra = divmod(n, clusters)
+    cliques = []
+    lo = 0
     for c in range(clusters):
-        label.extend([c] * (base + (1 if c < extra else 0)))
-    present = {
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if label[u] == label[v]
-    }
+        hi = lo + base + (c < extra)
+        cliques.extend(combinations(range(lo, hi), 2))
+        lo = hi
     rng = random.Random(seed)
-    offsets = _pair_offsets(n)
-    for t in rng.sample(range(total), flips):
-        present.symmetric_difference_update({_unrank_pair(offsets, t)})
+    flipped = _rank_pairs(n, sorted(rng.sample(range(total), flips)))
+    # merge the sorted toggles in: copy the run of clique pairs before
+    # each one, then drop the toggled pair if present, else insert it
+    edges = []
+    i = 0
+    for p in flipped:
+        j = bisect_left(cliques, p, i)
+        edges += cliques[i:j]
+        if j < len(cliques) and cliques[j] == p:
+            j += 1
+        else:
+            edges.append(p)
+        i = j
+    edges += cliques[i:]
     name = f"ce-n{n}-c{clusters}-f{flips}-s{seed}"
-    return InstanceSpec(name, n, sorted(present)), flips
+    return InstanceSpec(name, n, edges), flips

@@ -33,13 +33,13 @@ def verify_ce(n, edges, edits, budget):
     within budget.  Each pair may be edited at most once."""
     if len(edits) > budget:
         return False
-    cur = {frozenset(e) for e in edges}
+    cur = {(u, v) if u < v else (v, u) for u, v in edges}
     touched = set()
     for op, u, v in edits:
-        pair = frozenset((u, v))
+        pair = (u, v) if u < v else (v, u)
         if pair in touched or u == v:
             return False
-        if any(x < 0 or x >= n for x in (u, v)):
+        if not (0 <= u < n and 0 <= v < n):
             return False
         touched.add(pair)
         if op == "del":
@@ -52,25 +52,12 @@ def verify_ce(n, edges, edits, budget):
             cur.add(pair)
         else:
             return False
-    # connected components of the edited graph must be cliques
-    adj = {v: set() for v in range(n)}
-    for e in cur:
-        u, v = tuple(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = set()
-    for v in range(n):
-        if v in seen:
-            continue
-        comp = {v}
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        if any(len(adj[x]) != len(comp) - 1 for x in comp):
-            return False
-    return True
+    # Every component is a clique iff every closed neighbourhood equals
+    # that of its lowest member: along an edge the two lowest members
+    # lie in each other's neighbourhoods, so they coincide, and equal
+    # closed neighbourhoods along every edge make a component one clique.
+    closed = [{v} for v in range(n)]
+    for u, v in cur:
+        closed[u].add(v)
+        closed[v].add(u)
+    return all(nb == closed[min(nb)] for nb in closed)
