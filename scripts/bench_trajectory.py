@@ -8,7 +8,10 @@ For each BENCH_<n>.json in `root` (default: the repository root), in
 order of n, prints one row per workload and end-to-end metric from
 ``workloads[w].summary``: the parent's and the change's median with
 their q1-q3, the number of runs per side, and in how many pairs the
-change read lower.  Then it prints the file's claim result.
+change read lower.  Then it prints each workload's ``info_speedup``
+(alist time over hybrid time, the paper's figure) as the parent's
+median -> the change's, and the file's claim result, or ``(none)`` for
+a file that records no claim (``"claim": null``).
 """
 
 import json
@@ -38,6 +41,15 @@ def rows(name, data):
                    f"{par['n']}/{chg['n']}", s["change_lower_in_pairs"])
 
 
+def speedups(name, data):
+    """One line per workload: its info_speedup, parent -> change median."""
+    for workload, w in data["workloads"].items():
+        sp = w.get("info_speedup")
+        if sp:
+            yield (f"{name} {workload} info_speedup: "
+                   f"{sp['parent']['median']:g} -> {sp['change']['median']:g}")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else ROOT
@@ -47,7 +59,10 @@ def main(argv=None):
         widths = [max(len(r[i]) for r in table) for i in range(len(HEADER))]
         for r in table:
             print("  ".join(f.ljust(w) for f, w in zip(r, widths)).rstrip())
-        print(f"{path.stem} claim: {data.get('claim', {}).get('result', '(none)')}")
+        for line in speedups(path.stem, data):
+            print(line)
+        claim = data.get("claim") or {}
+        print(f"{path.stem} claim: {claim.get('result', '(none)')}")
         print()
     return 0
 

@@ -20,8 +20,12 @@ scan, the one that fires no rule, has seen every active vertex, so it
 also sums the degrees into the edge count and keeps the branching
 vertex; a separate edge count or maximum-degree pass would read the
 same degrees again.  The optimizer's bound stops as soon as the node's
-fate is known: ⌈m/Δ⌉ alone often prunes it, and otherwise the matching
-stops once it reaches what the incumbent leaves.
+fate is known.  Let need be the cover size the incumbent leaves room
+for.  ⌈m/Δ⌉ alone often prunes the node; failing that, a node with
+fewer than 2·need active vertices is kept without a matching, which
+could pair at most half of them; otherwise the matching stops once it
+reaches need.  The count is exact, and it comes after ⌈m/Δ⌉, which can
+prune where the count cannot.
 
 Every decision is made in canonical order (lowest id wins ties), so
 node counts are identical across representations.
@@ -144,10 +148,18 @@ class _OptSearch(Search):
         (no vertex covers more than Δ edges) and a greedy maximal
         matching (a cover takes one end of every matched edge) stays
         below ``need``.  It is False as soon as either reaches ``need``:
-        ⌈m/Δ⌉ is tried first, and the matching stops there too."""
+        ⌈m/Δ⌉ is tried first, and the matching stops there too.
+
+        Between the two, fewer than ``2 * need`` active vertices settle
+        it as True without a matching: a matching of n_c vertices has at
+        most ⌊n_c/2⌋ edges, so it cannot reach ``need``.  The count comes
+        second because ⌈m/Δ⌉ can prune where it cannot: a triangle has
+        ⌈3/2⌉ = 2 for need 2, though 3 < 4."""
         if -(-m // delta) >= need:
             return False
         g = self.g
+        if g.active_count() < 2 * need:
+            return True
         matched = set()
         size = 0
         for u in sorted(g.active_vertices()):

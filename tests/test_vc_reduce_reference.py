@@ -9,7 +9,9 @@ deletion, contraction and snapshot/restore sequences must give the same
 result, trail and active set from both, with and without a budget, on
 plain hybrid, alist, and contraction with folding.  The budgeted
 ``lower_bound(m, delta, need)`` must say ``max(matching, ⌈m/Δ⌉) <
-need`` for every ``need``, against the full bound kept verbatim too."""
+need`` for every ``need``, against the full bound kept verbatim too,
+and answer as the budgeted bound did before it settled a node from the
+active-vertex count, without a matching."""
 
 import random
 
@@ -177,4 +179,73 @@ def test_budgeted_bound_says_whether_the_full_bound_is_below_need(repr_name):
             g.delete_vertex(rng.choice(sorted(g.active_vertices())))
     # each way of answering is taken: settled by ⌈m/Δ⌉ alone, by a
     # matching that stops at need, and below need after the full match
+    assert min(ways.values()) > 100, ways
+
+
+def ref_lower_bound(g, m, delta, need):
+    """``_OptSearch.lower_bound`` before the active-vertex count test,
+    kept verbatim."""
+    if -(-m // delta) >= need:
+        return False
+    matched = set()
+    size = 0
+    for u in sorted(g.active_vertices()):
+        if u in matched:
+            continue
+        for w in sorted(g.neighbors(u)):
+            if w not in matched:
+                matched.add(u)
+                matched.add(w)
+                size += 1
+                if size >= need:
+                    return False
+                break
+    return True
+
+
+@pytest.mark.parametrize("repr_name", ("hybrid", "alist"))
+def test_count_settles_the_bound_without_a_matching(repr_name):
+    """Fewer than ``2 * need`` active vertices answer True before any
+    matching is built, after ⌈m/Δ⌉ has had its say: the answer equals
+    the bound without the count for every ``need``, and a call the
+    count settles asks for no neighborhood and no active-vertex list."""
+    rng = random.Random(4190 + (repr_name == "alist"))
+    ways = {"edges/degree": 0, "count": 0, "matching": 0, "below": 0}
+    for trial in range(120):
+        n = rng.randrange(2, 30)
+        m = rng.randrange(1, min(n * (n - 1) // 2, 4 * n) + 1)
+        spec = gnm(n, m, rng.randrange(1 << 30))
+        g = build_representation(repr_name, "plain", *spec,
+                                 instrumented=True)
+        ref = build_representation(repr_name, "plain", *spec)
+        search = _OptSearch(g, None)
+        calls = g.counters.calls
+
+        def asked():
+            return calls.get("neighbors", 0), calls.get("active_vertices", 0)
+
+        for _ in range(rng.randrange(1, 6)):
+            m = ref.active_edge_count()
+            if m == 0:
+                break
+            delta = ref.degree(ref.max_degree_vertex())
+            n_c = ref.active_count()
+            matching = ref_matching(ref)
+            for need in range(1, m + 2):
+                before = asked()
+                got = search.lower_bound(m, delta, need)
+                assert got == ref_lower_bound(ref, m, delta, need)
+                if -(-m // delta) >= need:
+                    way = "edges/degree"
+                elif n_c < 2 * need:
+                    way = "count"
+                    assert asked() == before
+                else:
+                    way = "matching" if matching >= need else "below"
+                ways[way] += 1
+            v = rng.choice(sorted(ref.active_vertices()))
+            g.delete_vertex(v)
+            ref.delete_vertex(v)
+    # ⌈m/Δ⌉ prunes, the count settles, a matching reaches need, and a
+    # full matching ends below it
     assert min(ways.values()) > 100, ways
