@@ -62,17 +62,6 @@ class AdditionGraph(HybridGraph):
     def degree(self, v):
         return self.deg[v] + self.ndeg[v]
 
-    def active_edge_count(self):
-        deg = self.deg
-        ndeg = self.ndeg
-        return sum(deg[v] + ndeg[v] for v in self.vlist[: self.n_c]) // 2
-
-    def max_degree_vertex(self):
-        deg = self.deg
-        ndeg = self.ndeg
-        return self._max_degree(
-            {v: deg[v] + ndeg[v] for v in self.active_vertices()})
-
     def add_edge(self, u, v):
         """Permanently add non-adjacent pair (u,v) on this search path."""
         n = self.n

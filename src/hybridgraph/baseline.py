@@ -96,7 +96,7 @@ class BaselineGraph:
             c = nxt[c]
         return out
 
-    # activity: the hybrid's sparse set, queried by the hybrid's bodies
+    # activity and degree: the hybrid's bodies over the same vlist and deg
     __repr__ = HybridGraph.__repr__
     degree = HybridGraph.degree
     active_vertices = HybridGraph.active_vertices
@@ -104,7 +104,6 @@ class BaselineGraph:
     is_active = HybridGraph.is_active
     active_edge_count = HybridGraph.active_edge_count
     max_degree_vertex = HybridGraph.max_degree_vertex
-    _max_degree = HybridGraph._max_degree
     _retire = HybridGraph._retire
 
     # -- chain surgery ------------------------------------------------

@@ -7,34 +7,35 @@ API means the quotient graph, whose vertices are the active colors:
 ``max_degree_vertex``, ``active_edge_count`` and ``delete_vertex`` all
 take and return colors, so a search written against the vertex API
 runs here unchanged and ``contract`` is one more edit it can make.
-``vlist`` / ``idxlist`` track the active colors.  Two more search-local
-vectors: ``cc[c]`` (member count of color c, 0 exactly for retired
-colors) and ``cd[c]`` (number of distinct active colors adjacent to c).
-The global table ``csl[c]`` lists c's members in its first ``cc[c]``
-slots, with the same stale-tail convention as ``al``.
+``vlist`` / ``idxlist`` track the active colors.  One more search-local
+vector, ``cc[c]``, counts the members of color c and is 0 exactly for
+retired colors.  The global table ``csl[c]`` lists c's members in its
+first ``cc[c]`` slots, with the same stale-tail convention as ``al``; a
+color's id is always its first member.
 
 The central invariant: between any two active colors at most one live
 member-level edge exists, and none inside a color.  ``contract``
 maintains it by deleting the connector edge and, for every color
 adjacent to both sides, one of the two redundant member edges.  With
-that invariant, ``cd[c]`` equals the number of live member edges
-leaving c, so listing a color's neighbor colors is a plain scan of its
-members' live prefixes with no dedup pass.
+that invariant a color's degree is the sum of its members' ``deg``, and
+listing a color's neighbor colors is a plain scan of its members' live
+prefixes with no dedup pass.  The whole-graph scans of ``HybridGraph``
+read ``degree`` and so answer over colors without an override.
 
 Undo is unchanged: the color vectors are search-local and ``csl``
 appends land past the restored ``cc`` prefix, so ``restore()`` copies
-back ``deg``, ``n_c``, ``vcolor``, ``cc`` and ``cd`` and nothing else.
+back ``deg``, ``n_c``, ``vcolor`` and ``cc`` and nothing else.
 
-Only ``delete_edge`` stays member-level: it takes the endpoints of a
-live member edge and keeps ``cd`` in step.  Member-level queries go
-through the base class (``HybridGraph.neighbors(g, x)``) or ``deg``.
+Only ``delete_edge`` stays member-level: it is the plain body and takes
+the endpoints of a live member edge.  Member-level queries go through
+the base class (``HybridGraph.neighbors(g, x)``) or ``deg``.
 """
 
 from .core import HybridGraph
 
 
 class ContractionGraph(HybridGraph):
-    __slots__ = ("csl", "_stamp", "_gen", "vcolor", "cc", "cd")
+    __slots__ = ("csl", "_stamp", "_gen", "vcolor", "cc")
 
     def _init_mode(self):
         n = self.n
@@ -44,7 +45,6 @@ class ContractionGraph(HybridGraph):
         self.csl = csl
         self.vcolor = list(range(n))
         self.cc = [1] * n
-        self.cd = self.deg.copy()
         # scratch marks, cleared lazily by bumping the generation stamp
         self._stamp = [0] * n
         self._gen = 0
@@ -52,7 +52,12 @@ class ContractionGraph(HybridGraph):
     # -- quotient queries ---------------------------------------------
 
     def degree(self, c):
-        return self.cd[c]
+        """Number of colors adjacent to c: its members' degree sum."""
+        k = self.cc[c]
+        if k == 1:
+            return self.deg[c]
+        deg = self.deg
+        return sum(deg[a] for a in self.csl[c][:k])
 
     def neighbors(self, c):
         """Active colors adjacent to c; distinct by the one-edge invariant."""
@@ -69,14 +74,16 @@ class ContractionGraph(HybridGraph):
         return out
 
     def is_adjacent(self, ca, cb):
-        """Whether active colors ca and cb share a member edge."""
-        if self.cd[ca] > self.cd[cb]:
+        """Whether active colors ca and cb share a member edge; scans
+        the members of the color with fewer."""
+        cc = self.cc
+        if cc[ca] > cc[cb]:
             ca, cb = cb, ca
         vc = self.vcolor
         al = self.al
         deg = self.deg
         members = self.csl[ca]
-        for idx in range(self.cc[ca]):
+        for idx in range(cc[ca]):
             a = members[idx]
             row = al[a]
             for j in range(deg[a]):
@@ -84,36 +91,13 @@ class ContractionGraph(HybridGraph):
                     return True
         return False
 
-    def max_degree_vertex(self):
-        """Active color of maximum color degree, lowest id on ties."""
-        return self._max_degree(self.cd)
-
-    def active_edge_count(self):
-        """Quotient edges, which by the one-edge invariant are the live
-        member edges.  The inherited member-degree sum would miss edges
-        held by absorbed members."""
-        cd = self.cd
-        return sum(cd[c] for c in self.vlist[: self.n_c]) // 2
-
     # -- mutations ----------------------------------------------------
-
-    def delete_edge(self, u, v):
-        cu = self.vcolor[u]
-        cv = self.vcolor[v]
-        assert cu != cv, "no member edges exist inside a color"
-        HybridGraph.delete_edge(self, u, v)
-        self.cd[cu] -= 1
-        self.cd[cv] -= 1
 
     def contract(self, cu, cv):
         """Merge color cv into color cu; the two must be distinct,
-        active, and adjacent.  Returns the number of member edges
-        deleted (the connector plus one per common neighbor color), so
-        callers can track the live edge count.
-        """
+        active, and adjacent."""
         vc = self.vcolor
         cc = self.cc
-        cd = self.cd
         al = self.al
         deg = self.deg
         idxlist = self.idxlist
@@ -134,8 +118,6 @@ class ContractionGraph(HybridGraph):
         # rest and mark their colors as now-adjacent
         raw_delete = HybridGraph.delete_edge
         members_v = self.csl[cv]
-        kept = 0
-        deleted = 0
         connectors = 0
         for idx in range(cc[cv]):
             b = members_v[idx]
@@ -145,18 +127,12 @@ class ContractionGraph(HybridGraph):
                 w = vc[x]
                 if w == cu:
                     raw_delete(self, b, x)
-                    deleted += 1
                     connectors += 1
                 elif stamp[w] == gen:
                     raw_delete(self, b, x)
-                    deleted += 1
-                    cd[w] -= 1
                 else:
                     stamp[w] = gen
-                    kept += 1
         assert connectors == 1, f"colors {cu},{cv} connected by {connectors} edges"
-        cd[cu] += kept - 1
-        cd[cv] = 0
         # recolor absorbed members and append them to the survivor's list
         base = cc[cu]
         for idx in range(cc[cv]):
@@ -166,55 +142,39 @@ class ContractionGraph(HybridGraph):
         cc[cu] = base + cc[cv]
         cc[cv] = 0
         self._retire(cv)
-        return deleted
 
     def delete_vertex(self, c):
-        """Remove color c and all member edges; costs O(cd(c) + cc(c)).
+        """Remove color c and all member edges; costs O(cc(c) + degree(c)).
 
-        As in ``HybridGraph.delete_vertex``, each member's edges leave
-        from the top of its prefix, so only the far endpoint's row
-        changes and the member's degree drops to 0 once.
+        A singleton is the plain ``HybridGraph.delete_vertex``.  A larger
+        color deletes each member's edges from the top of its prefix
+        down, one ``HybridGraph.delete_edge`` each, then retires c.
         """
+        cc = self.cc
+        k = cc[c]
+        cc[c] = 0
+        if k == 1:
+            HybridGraph.delete_vertex(self, c)
+            return
         assert self.idxlist[c] < self.n_c, f"delete_vertex on inactive color {c}"
-        vc = self.vcolor
-        cd = self.cd
+        raw_delete = HybridGraph.delete_edge
         al = self.al
-        im = self.im
         deg = self.deg
-        members = self.csl[c]
-        for idx in range(self.cc[c]):
-            b = members[idx]
-            row_b = al[b]
-            im_b = im[b]
+        for b in self.csl[c][:k]:
+            row = al[b]
             for j in range(deg[b] - 1, -1, -1):
-                x = row_b[j]
-                cd[vc[x]] -= 1
-                assert im[x][b] == j, f"index entry of ({x},{b}) out of step"
-                row = al[x]
-                i = im_b[x]
-                k = deg[x] - 1
-                y = row[k]
-                row[i] = y
-                row[k] = b
-                im[y][x] = i
-                im_b[x] = k
-                deg[x] = k
-            deg[b] = 0
-        cd[c] = 0
-        self.cc[c] = 0
+                raw_delete(self, b, row[j])
         self._retire(c)
 
     # -- undo ---------------------------------------------------------
 
     def snapshot(self):
-        return (self.deg.copy(), self.n_c, self.vcolor.copy(),
-                self.cc.copy(), self.cd.copy())
+        return self.deg.copy(), self.n_c, self.vcolor.copy(), self.cc.copy()
 
     def restore(self, saved):
-        deg, n_c, vcolor, cc, cd = saved
+        deg, n_c, vcolor, cc = saved
         assert len(deg) == len(self.deg), "snapshot from a different graph"
         self.deg[:] = deg
         self.n_c = n_c
         self.vcolor[:] = vcolor
         self.cc[:] = cc
-        self.cd[:] = cd

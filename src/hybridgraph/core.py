@@ -24,6 +24,10 @@ Restoration has set semantics: the live neighborhood contents come
 back exactly, but their order inside the prefix may differ from before
 the burst.
 
+The whole-graph scans, ``active_edge_count`` and ``max_degree_vertex``,
+read each active vertex through ``degree``, so each mode defines what a
+vertex's degree is once and the scans follow.
+
 Contract violations (deleting a non-adjacent pair, deleting an
 inactive vertex) are guarded by ``assert``.  The CLI, ``hybridgraph
 bench`` and ``searchbench/run.py`` run with asserts on, so the guards
@@ -109,25 +113,11 @@ class HybridGraph:
         return self.idxlist[v] < self.n_c
 
     def active_edge_count(self):
-        deg = self.deg
-        return sum(deg[v] for v in self.vlist[: self.n_c]) // 2
+        return sum(map(self.degree, self.active_vertices())) // 2
 
     def max_degree_vertex(self):
         """Active vertex of maximum degree, lowest id on ties, or None."""
-        return self._max_degree(self.deg)
-
-    def _max_degree(self, deg):
-        n_c = self.n_c
-        if n_c == 0:
-            return None
-        best = self.vlist[0]
-        best_d = deg[best]
-        for v in self.vlist[1:n_c]:
-            d = deg[v]
-            if d > best_d or (d == best_d and v < best):
-                best = v
-                best_d = d
-        return best
+        return max(sorted(self.active_vertices()), key=self.degree, default=None)
 
     # -- mutations ----------------------------------------------------
 

@@ -8,8 +8,8 @@ each index, slice and copy to one shared ``[reads, writes]`` tally:
 - both representations: the sparse active set ``vlist`` / ``idxlist``
   and ``deg``;
 - hybrid modes: the rows of ``al``, ``im`` and ``csl``, and the
-  search-local vectors ``ndeg``, ``vcolor``, ``cc`` and ``cd`` that the
-  graph's mode has;
+  search-local vectors ``ndeg``, ``vcolor`` and ``cc`` that the graph's
+  mode has;
 - baseline: ``nbr``, ``prv``, ``nxt`` and ``head``.
 
 Reads made by ``assert`` guards are counted too (``python -O`` drops
@@ -99,7 +99,7 @@ def _count_cells(g, tally):
         rows = getattr(g, name, None)
         if rows is not None:
             rows[:] = [Cells(tally, row) for row in rows]
-    for name in ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc", "cd",
+    for name in ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc",
                  "nbr", "prv", "nxt", "head"):
         cells = getattr(g, name, None)
         if cells is not None:

@@ -41,6 +41,8 @@ def check_quotient(g, mirror):
                     seen.add(key)
     assert seen == mirror.qedges
     assert g.active_edge_count() == len(mirror.qedges)
+    top = max(sorted(mirror.members), key=mirror.degree, default=None)
+    assert g.max_degree_vertex() == top
 
 
 def test_initial_state_is_discrete_partition():
@@ -52,9 +54,16 @@ def test_initial_state_is_discrete_partition():
         assert color_of(g, v) == v
 
 
+def _contract(g, cu, cv):
+    """Contract and return the number of member edges it deleted."""
+    before = g.active_edge_count()
+    g.contract(cu, cv)
+    return before - g.active_edge_count()
+
+
 def test_worked_contraction_sequence():
     g = ContractionGraph(G8_N, G8_EDGES)
-    deleted = g.contract(3, 6)
+    deleted = _contract(g, 3, 6)
     assert deleted == 1  # just the connector, no common neighbors
     assert color_of(g, 6) == 3
     assert color_size(g, 3) == 2
@@ -62,13 +71,13 @@ def test_worked_contraction_sequence():
     assert set(color_members(g, 3)) == {3, 6}
     assert set(g.neighbors(3)) == {0, 2, 5, 7}
 
-    deleted = g.contract(5, 7)
+    deleted = _contract(g, 5, 7)
     assert deleted == 3  # connector + one duplicate per common color (4, 3)
     assert set(g.neighbors(3)) == {0, 2, 5}
     assert g.degree(3) == 3
     assert set(g.neighbors(5)) == {2, 3, 4}
 
-    deleted = g.contract(2, 5)
+    deleted = _contract(g, 2, 5)
     assert deleted == 2  # connector plus the duplicate toward color 3
     assert color_of(g, 5) == 2 and color_of(g, 7) == 2
     assert color_size(g, 2) == 3
@@ -118,7 +127,7 @@ def test_delete_color_removes_all_member_edges():
 
 def test_two_vertex_collapse():
     g = ContractionGraph(2, [(0, 1)])
-    assert g.contract(0, 1) == 1
+    assert _contract(g, 0, 1) == 1
     assert g.active_vertices() == [0]
     assert g.degree(0) == 0
     assert g.active_edge_count() == 0

@@ -97,7 +97,7 @@ def _tables(g):
                 g.n_c, g.log)
     return (g.al, g.im, g.vlist, g.idxlist, g.deg, g.n_c,
             *(getattr(g, name, None)   # mode-specific tables
-              for name in ("ndeg", "vcolor", "cc", "cd", "csl")))
+              for name in ("ndeg", "vcolor", "cc", "csl")))
 
 
 def _random_op(rng, g, mode, edited):
@@ -315,7 +315,8 @@ s = c.snapshot()
 out["contraction snapshot"] = [c.counters.reads["snapshot"],
                                c.counters.writes["snapshot"]]
 out["contract"] = cost(c, "contract", 0, 1)
-out["delete_vertex of a color"] = cost(c, "delete_vertex", 2)
+out["delete_vertex of a singleton color"] = cost(c, "delete_vertex", 2)
+out["delete_vertex of a 2-member color"] = cost(c, "delete_vertex", 0)
 out["contraction restore"] = cost(c, "restore", s)
 print(json.dumps(out))
 """
@@ -335,14 +336,18 @@ def test_readme_costs_without_asserts():
             "addition restore": [2 * n, 2 * n]}
     for d in (1, 3, 0):
         want[f"delete_vertex d={d}"] = [3 + 4 * d, 5 + 5 * d]
-    want["contraction snapshot"] = want["contraction restore"] = [4 * n, 4 * n]
-    # contract(0, 1): cc_u = cc_v = 1, cd_u = 3, cd_v = 2, and r = 1
-    # (color 2); color 2 then has cc = 1 and cd = 2 (colors 0 and 3)
+    want["contraction snapshot"] = want["contraction restore"] = [3 * n, 3 * n]
+    # contract(0, 1): cc_u = cc_v = 1, d_u = 3, d_v = 2 (color degrees),
+    # and r = 1 (color 2), whose redundant edge (1, 2) goes
     su, du, sv, dv, r = 1, 3, 1, 2, 1
-    want["contract"] = [14 + 2 * (su + du) + 3 * sv + 2 * dv + 7 * r,
-                        18 + 2 * sv + 11 * r]
-    cc, cd = 1, 2
-    want["delete_vertex of a color"] = [3 + 2 * cc + 6 * cd, 6 + cc + 6 * cd]
+    want["contract"] = [13 + 2 * (su + du) + 3 * sv + 2 * dv + 6 * r,
+                        16 + 2 * sv + 10 * r]
+    # color 2 is then a singleton of degree 2 (colors 0 and 3), and
+    # color 0 = {0, 1} keeps one edge, to color 3
+    d = 2
+    want["delete_vertex of a singleton color"] = [4 + 4 * d, 6 + 5 * d]
+    cc, d = 2, 1
+    want["delete_vertex of a 2-member color"] = [3 + 2 * cc + 7 * d, 5 + 10 * d]
     assert got == want
 
 
@@ -354,29 +359,34 @@ def test_contraction_ops_counted():
     assert res.counters["contract"]["calls"] > 0
     assert res.counters["delete_vertex"]["calls"] > 0
 
-    # delete_vertex is linear in cc(c) + cd(c); contract in the sizes and
-    # color degrees of both sides plus r, the colors adjacent to both
+    # delete_vertex is linear in cc(c) + d(c), the color's member count
+    # and degree; contract in the sizes and degrees of both sides plus
+    # r, the colors adjacent to both
     rng = random.Random(7)
     g = counting(ContractionGraph)(n, edges)
-    g.snapshot()  # deg, vcolor, cc and cd
-    assert g.counters.accesses("snapshot") == 2 * (4 * n)
+    g.snapshot()  # deg, vcolor and cc
+    assert g.counters.accesses("snapshot") == 2 * (3 * n)
     checked = 0
     while g.active_edge_count():
         c = rng.choice([c for c in g.active_vertices() if g.degree(c)])
         c0 = g.counters.as_dict()
         if rng.random() < 0.3:
-            cc, cd = g.cc[c], g.cd[c]
+            cc, d = g.cc[c], g.degree(c)
             g.delete_vertex(c)
-            want = {"delete_vertex": (3 + 2 * cc + 6 * cd + (1 + cd) * __debug__,
-                                     6 + cc + 6 * cd)}
+            if cc == 1:   # the plain vertex deletion
+                reads, writes = 4 + 4 * d + (1 + d) * __debug__, 6 + 5 * d
+            else:         # one delete_edge per member edge
+                reads = 3 + 2 * cc + 7 * d + (1 + 2 * d) * __debug__
+                writes = 5 + 10 * d
+            want = {"delete_vertex": (reads, writes)}
         else:
             cv = g.neighbors(c)[0]
-            su, sv, du, dv = g.cc[c], g.cc[cv], g.cd[c], g.cd[cv]
+            su, sv, du, dv = g.cc[c], g.cc[cv], g.degree(c), g.degree(cv)
             r = len(set(g.neighbors(c)) & set(g.neighbors(cv)))
             g.contract(c, cv)
-            want = {"contract": (14 + 2 * (su + du) + 3 * sv + 2 * dv + 7 * r
+            want = {"contract": (13 + 2 * (su + du) + 3 * sv + 2 * dv + 6 * r
                                  + (4 + 2 * r) * __debug__,
-                                 18 + 2 * sv + 11 * r)}
+                                 16 + 2 * sv + 10 * r)}
         for op, (reads, writes) in want.items():
             before = c0.get(op, {"reads": 0, "writes": 0})
             after = g.counters.as_dict()[op]

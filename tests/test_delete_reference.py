@@ -1,11 +1,12 @@
 """One-sided vertex and color deletion against the per-edge reference.
 
-``HybridGraph.delete_vertex`` and ``ContractionGraph.delete_vertex``
-update only the far endpoint's row per edge.  The reference bodies
-below are the per-edge formulation they replace: one full two-sided
-``HybridGraph.delete_edge`` per live edge, taken from the top of the
-prefix down.  Random operation sequences must leave every table and
-search-local vector identical under both."""
+``HybridGraph.delete_vertex`` updates only the far endpoint's row per
+edge, and ``ContractionGraph.delete_vertex`` runs it on a singleton
+color.  The reference bodies below are the per-edge formulation: one
+full two-sided ``HybridGraph.delete_edge`` per live edge, taken from
+the top of the prefix down.  Random operation sequences must leave every
+table and search-local vector identical under both, and every color's
+degree equal to its count of neighbor colors."""
 
 import random
 
@@ -41,18 +42,13 @@ def ref_delete_vertex(g, v):
 
 def ref_delete_color(g, c):
     assert g.idxlist[c] < g.n_c
-    vc = g.vcolor
-    cd = g.cd
     deg = g.deg
     members = g.csl[c]
     for idx in range(g.cc[c]):
         b = members[idx]
         row = g.al[b]
         for j in range(deg[b] - 1, -1, -1):
-            x = row[j]
-            cd[vc[x]] -= 1
-            HybridGraph.delete_edge(g, b, x)
-    cd[c] = 0
+            HybridGraph.delete_edge(g, b, row[j])
     g.cc[c] = 0
     _swap_out(g, c)
 
@@ -70,7 +66,8 @@ def assert_same(a, b):
         assert a.csl == b.csl
         assert a.vcolor == b.vcolor
         assert a.cc == b.cc
-        assert a.cd == b.cd
+        for c in a.active_vertices():
+            assert a.degree(c) == len(a.neighbors(c))
 
 
 def _live_edge(g, rng):
