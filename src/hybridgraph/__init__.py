@@ -18,7 +18,6 @@ from .instances import (
     gen_cluster_editing,
     gen_random_gnm,
     read_instance,
-    write_edge_list,
 )
 from .solvers import (
     SolverResult,
@@ -57,5 +56,4 @@ __all__ = [
     "verify_ce",
     "verify_ds",
     "verify_vc",
-    "write_edge_list",
 ]

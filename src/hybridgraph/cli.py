@@ -3,7 +3,6 @@
     hybridgraph solve vc --input graph.clq --repr hybrid
     hybridgraph solve ce --input toy.el --k 3 --json
     hybridgraph bench benchmarks/manifest.json --out report.json
-    hybridgraph gen gnm --n 100 --m 400 --seed 7 --out g.el
 
 `solve --json` prints ``SolverResult.as_dict()`` plus the instance
 name; `bench` writes a JSON list of the records described in
@@ -12,13 +11,12 @@ name; `bench` writes a JSON list of the records described in
 """
 
 import json
-import os
 import sys
 
 import click
 
 from . import bench as benchmod
-from .instances import read_instance, write_edge_list
+from .instances import read_instance
 from .solvers import SolveTimeout
 from .solvers.common import REPR_NAMES
 
@@ -120,47 +118,6 @@ def bench(manifest, out, reps, counters):
         click.echo(f"failed: {row}: {rec['error']}", err=True)
     if not all_ok:
         sys.exit(EXIT_ERROR)
-
-
-@main.command()
-@click.argument("kind", type=click.Choice(tuple(benchmod.GENERATOR_KEYS)))
-@click.option("--n", type=int, default=None, help="Vertex count.")
-@click.option("--m", type=int, default=None, help="Edge count (gnm).")
-@click.option("--clusters", type=int, default=None, help="Planted cliques (ce).")
-@click.option("--k", "flips", type=int, default=None,
-              help="Planted edit count (ce).")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-def gen(kind, out, **given):
-    """Generate an instance file (plus a .meta.json sidecar for ce)."""
-    keys = benchmod.GENERATOR_KEYS[kind]
-    flag = {p.name: p.opts[0] for p in gen.params}
-    stray = [flag[key] for key in given
-             if given[key] is not None and key not in keys]
-    missing = [flag[key] for key in keys if given[key] is None]
-    if stray:
-        _fail(f"gen {kind} does not take {', '.join(stray)}")
-    if missing:
-        _fail(f"gen {kind} requires {', '.join(missing)}")
-    entry = {"kind": kind, **{key: given[key] for key in keys}}
-    try:
-        spec, planted = benchmod.make_instance(entry)
-    except ValueError as exc:
-        _fail(exc)
-    try:
-        write_edge_list(spec, out)
-        if planted is None:
-            click.echo(f"wrote {out} ({spec.n} vertices, {spec.m} edges)",
-                       err=True)
-        else:
-            sidecar = os.path.splitext(out)[0] + ".meta.json"
-            with open(sidecar, "w", encoding="ascii") as fh:
-                json.dump({"planted_k": planted, "generator": entry}, fh,
-                          indent=2)
-                fh.write("\n")
-            click.echo(f"wrote {out} and {sidecar}", err=True)
-    except OSError as exc:
-        _fail(exc)
 
 
 if __name__ == "__main__":

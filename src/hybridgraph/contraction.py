@@ -79,17 +79,7 @@ class ContractionGraph(HybridGraph):
         cc = self.cc
         if cc[ca] > cc[cb]:
             ca, cb = cb, ca
-        vc = self.vcolor
-        al = self.al
-        deg = self.deg
-        members = self.csl[ca]
-        for idx in range(cc[ca]):
-            a = members[idx]
-            row = al[a]
-            for j in range(deg[a]):
-                if vc[row[j]] == cb:
-                    return True
-        return False
+        return cb in self.neighbors(ca)
 
     # -- mutations ----------------------------------------------------
 

@@ -1,6 +1,6 @@
-"""Instance loading, writing, and generation.
+"""Instance readers and generators.
 
-Two on-disk formats:
+Two on-disk formats are read:
 
 * edge list (native): first line ``n m``, then m lines ``u v`` with
   0-based endpoints.  Strict: any malformed, duplicate, out-of-range,
@@ -154,17 +154,6 @@ def parse_edge_list(lines, name="edges"):
         raise InstanceFormatError(f"header declared {m} edges, file has {len(edges)}")
     edges.sort()
     return InstanceSpec(name, n, edges)
-
-
-def format_edge_list(spec):
-    lines = [f"{spec.n} {len(spec.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(spec.edges))
-    return "\n".join(lines) + "\n"
-
-
-def write_edge_list(spec, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(spec))
 
 
 def read_instance(path):

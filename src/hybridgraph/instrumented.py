@@ -43,9 +43,6 @@ class OpCounters:
     def accesses(self, op):
         return self.reads.get(op, 0) + self.writes.get(op, 0)
 
-    def total_accesses(self):
-        return sum(self.reads.values()) + sum(self.writes.values())
-
     def as_dict(self):
         return {
             op: {

@@ -131,13 +131,16 @@ class _OptSearch(Search):
         self.best = None
 
     def greedy_cover(self):
+        """Take a maximum-degree vertex (lowest id on ties) until the
+        top degree is 0; one degree scan per taken vertex."""
         g = self.g
         snap = g.snapshot()
         cover = []
-        while g.active_edge_count():
-            v = g.max_degree_vertex()
+        v = g.max_degree_vertex()
+        while v is not None and g.degree(v):
             cover.append(v)
             g.delete_vertex(v)
+            v = g.max_degree_vertex()
         g.restore(snap)
         return cover
 
@@ -177,7 +180,7 @@ class _OptSearch(Search):
 
     def run(self):
         self.best = self.greedy_cover()
-        if self.g.active_edge_count():
+        if self.best:   # empty exactly when there are no edges
             self.node(())
         return sorted(self.best)
 

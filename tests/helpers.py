@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite: small named graphs, a local
-G(n,m) sampler that does not depend on the package's generators, and
-member-level views of a ``ContractionGraph``'s colors."""
+G(n,m) sampler that does not depend on the package's generators,
+member-level views of a ``ContractionGraph``'s colors, and an
+edge-list writer for tests that read instance files."""
 
 import random
 from itertools import combinations
@@ -74,3 +75,15 @@ def color_size(g, c):
 
 def color_of(g, v):
     return g.vcolor[v]
+
+
+def format_edge_list(spec):
+    """The native edge-list text of an ``InstanceSpec``."""
+    lines = [f"{spec.n} {len(spec.edges)}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(spec.edges))
+    return "\n".join(lines) + "\n"
+
+
+def write_edge_list(spec, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(format_edge_list(spec))

@@ -9,8 +9,10 @@ from click.testing import CliRunner
 from hybridgraph import bench as benchmod
 from hybridgraph.bench import run_manifest
 from hybridgraph.cli import main
-from hybridgraph.instances import gen_random_gnm, write_edge_list
+from hybridgraph.instances import gen_random_gnm
 from hybridgraph.solvers import SolveTimeout, SolverResult
+
+from helpers import write_edge_list
 
 
 @pytest.fixture
@@ -143,61 +145,6 @@ def test_solve_dimacs_with_warning(runner, tmp_path):
     assert res.exit_code == 0
     assert "duplicate" in res.stderr
     assert "size 1" in res.stdout
-
-
-def test_gen_gnm_is_byte_deterministic(runner, tmp_path):
-    a = tmp_path / "a.el"
-    b = tmp_path / "b.el"
-    for out in (a, b):
-        res = runner.invoke(
-            main, ["gen", "gnm", "--n", "30", "--m", "60", "--seed", "9",
-                   "--out", str(out)])
-        assert res.exit_code == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_gen_gnm_infeasible(runner, tmp_path):
-    res = runner.invoke(
-        main, ["gen", "gnm", "--n", "4", "--m", "7", "--out",
-               str(tmp_path / "x.el")])
-    assert res.exit_code == 2
-
-
-def test_gen_gnm_rejects_negative_n(runner, tmp_path):
-    out = tmp_path / "x.el"
-    res = runner.invoke(main, ["gen", "gnm", "--n", "-3", "--m", "2",
-                               "--out", str(out)])
-    assert res.exit_code == 2
-    assert "n must be >= 0" in res.output
-    assert not out.exists()
-
-
-def test_gen_ce_writes_sidecar(runner, tmp_path):
-    out = tmp_path / "planted.el"
-    res = runner.invoke(
-        main, ["gen", "ce", "--n", "20", "--clusters", "4", "--k", "5",
-               "--seed", "3", "--out", str(out)])
-    assert res.exit_code == 0
-    meta = json.loads((tmp_path / "planted.meta.json").read_text())
-    assert meta["planted_k"] == 5
-    assert meta["generator"]["clusters"] == 4
-
-
-@pytest.mark.parametrize("args, message", [
-    (["gnm", "--n", "10", "--m", "5", "--clusters", "3", "--k", "4"],
-     "gen gnm does not take --clusters, --k"),
-    (["ce", "--n", "10", "--clusters", "2", "--k", "1", "--m", "99"],
-     "gen ce does not take --m"),
-    (["ce", "--n", "10", "--clusters", "2"], "gen ce requires --k"),
-    (["gnm", "--m", "3"], "gen gnm requires --n"),
-])
-def test_gen_rejects_flags_the_kind_does_not_use(runner, tmp_path, args,
-                                                 message):
-    out = tmp_path / "x.el"
-    res = runner.invoke(main, ["gen", *args, "--out", str(out)])
-    assert res.exit_code == 2
-    assert f"error: {message}\n" in res.stderr
-    assert not out.exists()
 
 
 def _manifest(tmp_path, rows, defaults=None):
@@ -432,17 +379,6 @@ def test_bench_rejects_rows_that_cannot_run_before_any_row_runs(
     assert calls == []
 
 
-@pytest.mark.parametrize("args", [
-    ["gnm", "--n", "3", "--m", "1"],
-    ["ce", "--n", "6", "--clusters", "2", "--k", "1"],
-])
-def test_gen_unwritable_out_is_an_error(runner, tmp_path, args):
-    out = tmp_path / "missing" / "x.el"
-    res = runner.invoke(main, ["gen", *args, "--out", str(out)])
-    assert res.exit_code == 2
-    assert f"error: [Errno 2] No such file or directory: '{out}'" in res.stderr
-
-
 def test_bench_unwritable_out_fails_before_any_row(runner, tmp_path,
                                                     monkeypatch):
     calls = []
@@ -562,3 +498,11 @@ def test_solve_and_bench_records_agree(runner, petersen_file, problem,
     assert record["counters"]
     for key in keys - {"wall_ms"}:
         assert solved[key] == record[key], key
+
+
+def test_only_solve_and_bench_are_commands(runner):
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    commands = res.stdout.split("Commands:\n")[1].splitlines()
+    assert [line.split()[0] for line in commands] == ["bench", "solve"]
+    assert runner.invoke(main, ["gen", "gnm", "--n", "3"]).exit_code == 2

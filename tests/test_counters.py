@@ -158,7 +158,7 @@ def test_counting_matches_plain(repr_name, mode):
         assert _tables(a) == _tables(b)
     totals = b.counters.as_dict()
     assert {"snapshot", "restore", "delete_edge"} <= set(totals)
-    assert b.counters.total_accesses() > 0
+    assert sum(t["reads"] + t["writes"] for t in totals.values()) > 0
 
 
 def test_star_leaf_deletion_cost_is_depth_free():
@@ -277,9 +277,6 @@ def test_counter_dict_roundtrip():
     assert d["delete_edge"]["calls"] == 1
     assert d["delete_edge"]["reads"] == 6 + 2 * __debug__
     assert d["delete_edge"]["writes"] == 10
-    assert g.counters.total_accesses() == sum(
-        v["reads"] + v["writes"] for v in d.values()
-    )
 
 
 _README_PROBE = """

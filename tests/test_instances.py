@@ -1,19 +1,18 @@
-"""Instance parsing, writing, and generator tests."""
+"""Instance parsing and generator tests."""
 
 import pytest
 
 from hybridgraph.instances import (
     InstanceFormatError,
-    format_edge_list,
     gen_cluster_editing,
     gen_random_gnm,
     parse_dimacs,
     parse_edge_list,
     read_instance,
-    write_edge_list,
 )
 from hybridgraph.solvers import solve_ce_parm, verify_ce
 
+from helpers import format_edge_list, write_edge_list
 from oracle import brute_ce
 
 DIMACS_SAMPLE = """\

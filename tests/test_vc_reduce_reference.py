@@ -11,7 +11,9 @@ plain hybrid, alist, and contraction with folding.  The budgeted
 ``lower_bound(m, delta, need)`` must say ``max(matching, ⌈m/Δ⌉) <
 need`` for every ``need``, against the full bound kept verbatim too,
 and answer as the budgeted bound did before it settled a node from the
-active-vertex count, without a matching."""
+active-vertex count, without a matching.  ``greedy_cover``, which seeds
+the optimizer's incumbent, must take the same vertices as its two-scan
+body, kept verbatim, with one maximum-degree scan per taken vertex."""
 
 import random
 
@@ -249,3 +251,52 @@ def test_count_settles_the_bound_without_a_matching(repr_name):
     # ⌈m/Δ⌉ prunes, the count settles, a matching reaches need, and a
     # full matching ends below it
     assert min(ways.values()) > 100, ways
+
+
+def ref_greedy_cover(self):
+    """``_OptSearch.greedy_cover`` before it read each degree once per
+    step, kept verbatim."""
+    g = self.g
+    snap = g.snapshot()
+    cover = []
+    while g.active_edge_count():
+        v = g.max_degree_vertex()
+        cover.append(v)
+        g.delete_vertex(v)
+    g.restore(snap)
+    return cover
+
+
+@pytest.mark.parametrize("repr_name", ("hybrid", "alist"))
+def test_greedy_cover_matches_the_two_scan_loop(repr_name):
+    """Same cover as the reference on random G(n,m), also after random
+    deletions; the graph is left as it was; the cover is empty exactly
+    when no edge is left (``run`` relies on that); and each step makes
+    one ``max_degree_vertex`` scan and no ``active_edge_count`` scan."""
+    rng = random.Random(4200 + (repr_name == "alist"))
+    empty = 0
+    for trial in range(150):
+        n = rng.randrange(1, 40)
+        m = rng.randrange(0, min(n * (n - 1) // 2, 5 * n) + 1)
+        spec = gnm(n, m, rng.randrange(1 << 30))
+        g = build_representation(repr_name, "plain", *spec,
+                                 instrumented=True)
+        ref = build_representation(repr_name, "plain", *spec)
+        search = _OptSearch(g, None)
+        calls = g.counters.calls
+        for _ in range(rng.randrange(1, 4)):
+            before = _state(g)
+            scans = calls.get("max_degree_vertex", 0)
+            cover = search.greedy_cover()
+            assert cover == ref_greedy_cover(_OptSearch(ref, None))
+            assert _state(g) == before
+            assert (cover == []) == (ref.active_edge_count() == 0)
+            assert calls.get("max_degree_vertex", 0) - scans == len(cover) + 1
+            assert "active_edge_count" not in calls
+            empty += cover == []
+            if not ref.active_count():
+                break
+            v = rng.choice(sorted(ref.active_vertices()))
+            g.delete_vertex(v)
+            ref.delete_vertex(v)
+    assert empty > 10, empty
