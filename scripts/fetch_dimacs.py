@@ -44,9 +44,9 @@ def expected_n(name):
 
 def validate(path, name):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from hybridgraph.instances import read_dimacs
+    from hybridgraph.instances import read_instance
 
-    spec, warnings = read_dimacs(path)
+    spec, warnings = read_instance(path)
     want = expected_n(name)
     if want is not None and spec.n != want:
         raise ValueError(f"{name}: expected {want} vertices, file has {spec.n}")

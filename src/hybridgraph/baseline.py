@@ -102,7 +102,6 @@ class BaselineGraph:
     active_vertices = HybridGraph.active_vertices
     active_count = HybridGraph.active_count
     is_active = HybridGraph.is_active
-    active_edge_count = HybridGraph.active_edge_count
     max_degree_vertex = HybridGraph.max_degree_vertex
     _retire = HybridGraph._retire
 

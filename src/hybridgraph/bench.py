@@ -274,19 +274,13 @@ def check_row(cfg, where):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def run_manifest(manifest, base_dir=None, reps=None, counters=False):
-    """Run every row in manifest order.  `manifest` is a path or a
-    parsed dict.  Returns (records, all_ok); skipped optional rows do
-    not clear all_ok."""
-    if isinstance(manifest, (str, os.PathLike)):
-        with open(manifest, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-        if base_dir is None:
-            base_dir = os.path.dirname(os.path.abspath(manifest))
-    else:
-        data = manifest
-    if base_dir is None:
-        base_dir = os.getcwd()
+def run_manifest(path, reps=None, counters=False):
+    """Run every row of the manifest file at `path` in manifest order;
+    a row's ``path`` is relative to the manifest's directory.  Returns
+    (records, all_ok); skipped optional rows do not clear all_ok."""
+    with open(path, "r", encoding="ascii") as fh:
+        data = json.load(fh)
+    base_dir = os.path.dirname(os.path.abspath(path))
     if type(data) is not dict:
         raise ValueError("manifest: must be an object with 'defaults' and "
                          f"'runs', got {type(data).__name__}")

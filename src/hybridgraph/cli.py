@@ -1,7 +1,7 @@
 """Command-line front end.
 
     hybridgraph solve vc --input graph.clq --repr hybrid
-    hybridgraph solve ce --input toy.el --k 3 --json
+    hybridgraph solve ce --input toy.clq --k 3 --json
     hybridgraph bench benchmarks/manifest.json --out report.json
 
 `solve --json` prints ``SolverResult.as_dict()`` plus the instance
@@ -38,7 +38,7 @@ def main():
 @main.command()
 @click.argument("problem", type=click.Choice(tuple(benchmod.PROBLEMS)))
 @click.option("--input", "input_path", required=True,
-              help="Instance file (edge list, or DIMACS .col/.clq).")
+              help="DIMACS instance file (p edge N M, then e U V lines).")
 @click.option("--repr", "repr_name", default="hybrid",
               type=click.Choice(REPR_NAMES), show_default=True)
 @click.option("--k", type=int, default=None,

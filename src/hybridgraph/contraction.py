@@ -4,12 +4,11 @@ Every vertex carries a color (search-local ``vcolor``); initially color
 ids equal vertex ids and every color is a singleton.  The public vertex
 API means the quotient graph, whose vertices are the active colors:
 ``active_vertices``, ``degree``, ``neighbors``, ``is_adjacent``,
-``max_degree_vertex``, ``active_edge_count`` and ``delete_vertex`` all
-take and return colors, so a search written against the vertex API
-runs here unchanged and ``contract`` is one more edit it can make.
-``vlist`` / ``idxlist`` track the active colors.  One more search-local
-vector, ``cc[c]``, counts the members of color c and is 0 exactly for
-retired colors.  The global table ``csl[c]`` lists c's members in its
+``max_degree_vertex`` and ``delete_vertex`` all take and return colors,
+so a search written against the vertex API runs here unchanged and
+``contract`` is one more edit it can make.  ``vlist`` / ``idxlist``
+track the active colors.  One more search-local vector, ``cc[c]``,
+counts the members of color c and is 0 exactly for retired colors.  The global table ``csl[c]`` lists c's members in its
 first ``cc[c]`` slots, with the same stale-tail convention as ``al``; a
 color's id is always its first member.
 
@@ -19,8 +18,8 @@ maintains it by deleting the connector edge and, for every color
 adjacent to both sides, one of the two redundant member edges.  With
 that invariant a color's degree is the sum of its members' ``deg``, and
 listing a color's neighbor colors is a plain scan of its members' live
-prefixes with no dedup pass.  The whole-graph scans of ``HybridGraph``
-read ``degree`` and so answer over colors without an override.
+prefixes with no dedup pass.  ``HybridGraph.max_degree_vertex`` reads
+``degree`` and so answers over colors without an override.
 
 Undo is unchanged: the color vectors are search-local and ``csl``
 appends land past the restored ``cc`` prefix, so ``restore()`` copies

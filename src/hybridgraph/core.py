@@ -24,9 +24,9 @@ Restoration has set semantics: the live neighborhood contents come
 back exactly, but their order inside the prefix may differ from before
 the burst.
 
-The whole-graph scans, ``active_edge_count`` and ``max_degree_vertex``,
-read each active vertex through ``degree``, so each mode defines what a
-vertex's degree is once and the scans follow.
+The whole-graph scan ``max_degree_vertex`` reads each active vertex
+through ``degree``, so each mode defines what a vertex's degree is once
+and the scan follows.
 
 Contract violations (deleting a non-adjacent pair, deleting an
 inactive vertex) are guarded by ``assert``.  The CLI, ``hybridgraph
@@ -111,9 +111,6 @@ class HybridGraph:
 
     def is_active(self, v):
         return self.idxlist[v] < self.n_c
-
-    def active_edge_count(self):
-        return sum(map(self.degree, self.active_vertices())) // 2
 
     def max_degree_vertex(self):
         """Active vertex of maximum degree, lowest id on ties, or None."""

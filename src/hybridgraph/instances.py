@@ -1,15 +1,11 @@
-"""Instance readers and generators.
+"""Instance reader and generators.
 
-Two on-disk formats are read:
-
-* edge list (native): first line ``n m``, then m lines ``u v`` with
-  0-based endpoints.  Strict: any malformed, duplicate, out-of-range,
-  or self-loop line is an error naming the line number.
-* DIMACS: ``c`` comments, one ``p edge N M`` problem line, ``e u v``
-  edge lines with 1-based endpoints.  Benchmark files in the wild are
-  sloppy, so duplicate edges are dropped with a warning and a wrong
-  declared edge count is a warning, while self-loops and out-of-range
-  endpoints stay hard errors.
+Instance files are DIMACS, the one on-disk format: ``c`` comments, one
+``p edge N M`` problem line, ``e u v`` edge lines with 1-based
+endpoints.  Benchmark files in the wild are sloppy, so duplicate edges
+are dropped with a warning and a wrong declared edge count is a
+warning, while self-loops, out-of-range endpoints and any other record
+are hard errors naming the line number.
 
 Generators return sorted edge lists, so an instance is reproducible
 from its parameters alone, and build them without per-pair work:
@@ -91,8 +87,8 @@ def parse_dimacs(lines, name="dimacs"):
             seen.add(key)
             edges.append(key)
         else:
-            raise InstanceFormatError(
-                f"line {lineno}: unrecognized record {line.split()[0]!r}")
+            raise InstanceFormatError(f"line {lineno}: unrecognized record "
+                f"{line.split()[0]!r}; DIMACS lines are 'c ...', 'p edge N M' or 'e U V'")
     if n is None:
         raise InstanceFormatError("missing problem line")
     if m_declared not in (len(edges), len(edges) + dupes):
@@ -106,68 +102,11 @@ def _basename(path):
     return os.path.splitext(os.path.basename(str(path)))[0]
 
 
-def read_dimacs(path):
+def read_instance(path):
+    """Read the DIMACS file at `path`, named by its basename without
+    the extension.  Returns (InstanceSpec, warnings)."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         return parse_dimacs(fh, name=_basename(path))
-
-
-def parse_edge_list(lines, name="edges"):
-    it = iter(enumerate(lines, 1))
-    header = None
-    for lineno, raw in it:
-        if raw.strip():
-            header = (lineno, raw.split())
-            break
-    if header is None:
-        raise InstanceFormatError("empty file")
-    lineno, parts = header
-    if len(parts) != 2:
-        raise InstanceFormatError(f"line {lineno}: header must be 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InstanceFormatError(f"line {lineno}: header must be 'n m'")
-    if n < 0 or m < 0:
-        raise InstanceFormatError(f"line {lineno}: negative header values")
-    edges = []
-    seen = set()
-    for lineno, raw in it:
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise InstanceFormatError(f"line {lineno}: bad edge line {raw.strip()!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InstanceFormatError(f"line {lineno}: bad edge line {raw.strip()!r}")
-        if u == v:
-            raise InstanceFormatError(f"line {lineno}: self-loop on {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InstanceFormatError(f"line {lineno}: endpoint out of range")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise InstanceFormatError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append(key)
-    if len(edges) != m:
-        raise InstanceFormatError(f"header declared {m} edges, file has {len(edges)}")
-    edges.sort()
-    return InstanceSpec(name, n, edges)
-
-
-def read_instance(path):
-    """Load by extension (.col/.clq/.dimacs are DIMACS) with a content
-    sniff fallback.  Returns (InstanceSpec, warnings)."""
-    lowered = str(path).lower()
-    if lowered.endswith((".col", ".clq", ".dimacs")):
-        return read_dimacs(path)
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        text = fh.readlines()
-    head = next((l for l in text if l.strip()), "")
-    if head.lstrip().startswith(("c", "p")):
-        return parse_dimacs(text, name=_basename(path))
-    return parse_edge_list(text, name=_basename(path)), []
 
 
 def _rank_pairs(n, ranks):

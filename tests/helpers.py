@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite: small named graphs, a local
 G(n,m) sampler that does not depend on the package's generators,
-member-level views of a ``ContractionGraph``'s colors, and an
-edge-list writer for tests that read instance files."""
+member-level views of a ``ContractionGraph``'s colors, the live edge
+count of any representation, and a DIMACS writer for tests that read
+instance files."""
 
 import random
 from itertools import combinations
@@ -77,13 +78,20 @@ def color_of(g, v):
     return g.vcolor[v]
 
 
-def format_edge_list(spec):
-    """The native edge-list text of an ``InstanceSpec``."""
-    lines = [f"{spec.n} {len(spec.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(spec.edges))
+def edge_count(g):
+    """Live edges of g: half its active vertices' degree sum (in the
+    contraction mode, edges between active colors)."""
+    return sum(map(g.degree, g.active_vertices())) // 2
+
+
+def format_dimacs(spec):
+    """The DIMACS text of an ``InstanceSpec``: ``p edge n m``, then one
+    1-based ``e u v`` line per edge."""
+    lines = [f"p edge {spec.n} {len(spec.edges)}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in sorted(spec.edges))
     return "\n".join(lines) + "\n"
 
 
-def write_edge_list(spec, path):
+def write_dimacs(spec, path):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(spec))
+        fh.write(format_dimacs(spec))

@@ -20,7 +20,7 @@ from hybridgraph.addition import AdditionGraph
 from hybridgraph.bench import run_manifest
 from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import HybridGraph
-from hybridgraph.instances import gen_cluster_editing, gen_random_gnm, read_dimacs
+from hybridgraph.instances import gen_cluster_editing, gen_random_gnm, read_instance
 from hybridgraph.instrumented import counting
 from hybridgraph.solvers import (
     SolveTimeout,
@@ -30,7 +30,7 @@ from hybridgraph.solvers import (
     solve_vc_parm,
     verify_ce,
 )
-from helpers import color_members
+from helpers import color_members, edge_count
 from mirrors import EdgeSetMirror, QuotientMirror
 from oracle import brute_ce, brute_ds, brute_vc
 
@@ -60,7 +60,7 @@ def test_criterion_1_dimacs_vertex_cover_sizes():
         pytest.skip(f"DIMACS files not present in {d}")
     outcomes = []
     for name, want in DIMACS_TARGETS:
-        spec, _ = read_dimacs(d / name)
+        spec, _ = read_instance(d / name)
         try:
             res = solve_vc_opt(spec.n, spec.edges, timeout=1800)
             outcomes.append((name, res.size, want))
@@ -124,7 +124,7 @@ def _same_quotient(g, mir):
             return False
         if set(g.neighbors(c)) != mir.neighbor_colors(c):
             return False
-    return g.active_edge_count() == len(mir.qedges)
+    return edge_count(g) == len(mir.qedges)
 
 
 def _plain_trials(count, rng):

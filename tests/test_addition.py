@@ -7,7 +7,7 @@ import pytest
 
 from hybridgraph.addition import AdditionGraph
 
-from helpers import G8_AL, G8_DEG, G8_EDGES, G8_N, gnm
+from helpers import G8_AL, G8_DEG, G8_EDGES, G8_N, edge_count, gnm
 from mirrors import EdgeSetMirror
 
 
@@ -28,7 +28,7 @@ def check_against(g, mirror):
             expected = mirror.is_adjacent(u, v)
             assert g.is_adjacent(u, v) == expected
             assert g.is_adjacent(v, u) == expected
-    assert g.active_edge_count() == len(mirror.edges)
+    assert edge_count(g) == len(mirror.edges)
 
 
 def test_rows_padded_and_base_tables_intact():
@@ -90,7 +90,7 @@ def test_restore_rolls_back_additions_and_deletions_together():
     for v in range(8):
         assert set(g.neighbors(v)) == set(G8_AL[v])
         assert g.degree(v) == G8_DEG[v]
-    assert g.active_edge_count() == len(G8_EDGES)
+    assert edge_count(g) == len(G8_EDGES)
 
 
 def test_tail_overflow_backstop_fires():

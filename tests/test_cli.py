@@ -12,7 +12,7 @@ from hybridgraph.cli import main
 from hybridgraph.instances import gen_random_gnm
 from hybridgraph.solvers import SolveTimeout, SolverResult
 
-from helpers import write_edge_list
+from helpers import write_dimacs
 
 
 @pytest.fixture
@@ -27,8 +27,8 @@ def petersen_file(tmp_path):
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spec = gen_random_gnm(1, 0, seed=0)
     spec.name, spec.n, spec.edges = "petersen", 10, sorted(edges)
-    path = tmp_path / "petersen.el"
-    write_edge_list(spec, path)
+    path = tmp_path / "petersen.clq"
+    write_dimacs(spec, path)
     return str(path)
 
 
@@ -82,19 +82,26 @@ def test_solve_flag_validation(runner, petersen_file):
 
 
 def test_solve_missing_and_malformed_files(runner, tmp_path):
-    gone = runner.invoke(main, ["solve", "vc", "--input", str(tmp_path / "x.el")])
+    gone = runner.invoke(main, ["solve", "vc", "--input", str(tmp_path / "x.clq")])
     assert gone.exit_code == 2
-    bad = tmp_path / "bad.el"
-    bad.write_text("3 1\n0 0\n")
+    bad = tmp_path / "bad.clq"
+    bad.write_text("p edge 3 1\ne 1 1\n")
     malformed = runner.invoke(main, ["solve", "vc", "--input", str(bad)])
     assert malformed.exit_code == 2
     assert "self-loop" in malformed.stderr
+    # an "n m" header is no DIMACS record, whatever the file is called
+    old = tmp_path / "old.el"
+    old.write_text("3 2\n0 1\n1 2\n")
+    res = runner.invoke(main, ["solve", "vc", "--input", str(old)])
+    assert res.exit_code == 2
+    assert res.stderr == ("error: line 1: unrecognized record '3'; DIMACS "
+                          "lines are 'c ...', 'p edge N M' or 'e U V'\n")
 
 
 def test_solve_timeout_exit_code(runner, tmp_path):
     spec = gen_random_gnm(60, 700, seed=5)
-    path = tmp_path / "dense.el"
-    write_edge_list(spec, path)
+    path = tmp_path / "dense.clq"
+    write_dimacs(spec, path)
     res = runner.invoke(
         main, ["solve", "vc", "--input", str(path), "--timeout-s", "0"])
     assert res.exit_code == 3
@@ -110,8 +117,8 @@ def test_solve_bad_timeout_is_an_error(runner, petersen_file, seconds):
 
 
 def test_solve_ce_huge_budget(runner, tmp_path):
-    path = tmp_path / "p3.el"
-    path.write_text("3 2\n0 1\n1 2\n")
+    path = tmp_path / "p3.clq"
+    path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
     res = runner.invoke(
         main, ["solve", "ce", "--input", str(path), "--k", "9999999999"])
     assert res.exit_code == 0
@@ -129,8 +136,9 @@ def test_solve_counters_output(runner, petersen_file):
 
 
 def test_solve_fold_counters_output(runner, tmp_path):
-    path = tmp_path / "c9.el"
-    path.write_text("9 9\n" + "".join(f"{i} {(i + 1) % 9}\n" for i in range(9)))
+    path = tmp_path / "c9.clq"
+    path.write_text("p edge 9 9\n"
+                    + "".join(f"e {i + 1} {(i + 1) % 9 + 1}\n" for i in range(9)))
     res = runner.invoke(main, ["solve", "vc-parm", "--input", str(path),
                                "--k", "5", "--fold", "--counters"])
     assert res.exit_code == 0
@@ -174,7 +182,7 @@ def test_bench_pairs_and_speedup(tmp_path):
 
 def test_bench_row_error_continues_and_exit_code(runner, tmp_path):
     path = _manifest(tmp_path, [
-        {"problem": "vc", "path": "missing.el"},
+        {"problem": "vc", "path": "missing.clq"},
         {"problem": "ds", "generator": {"kind": "gnm", "n": 12, "m": 20, "seed": 1}},
     ])
     res = runner.invoke(main, ["bench", str(path)])
@@ -349,19 +357,19 @@ GEN = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
 
 @pytest.mark.parametrize("defaults, first, bad, message", [
     ({}, {"problem": "ds", "generator": GEN},
-     {"problem": "ds", "generator": GEN, "path": "g.el"},
+     {"problem": "ds", "generator": GEN, "path": "g.clq"},
      "row 1: needs exactly one of 'generator' or 'path'"),
     ({}, {"problem": "ds", "generator": GEN},
      {"problem": "ce", "k": "planted", "generator": GEN},
      "row 1: 'planted' k needs a ce generator"),
     ({}, {"problem": "ds", "generator": GEN},
-     {"problem": "ce", "k": "planted", "path": "missing.el"},
+     {"problem": "ce", "k": "planted", "path": "missing.clq"},
      "row 1: 'planted' k needs a ce generator"),
     ({}, {"problem": "ds", "generator": GEN},
      {"problem": "mis", "generator": GEN}, "row 1: unknown problem 'mis'"),
     ({}, {"problem": "ds", "generator": GEN}, {"generator": GEN},
      "row 1: missing 'problem'"),
-    ({"path": "g.el"}, {"problem": "ds"}, {"problem": "ds", "generator": GEN},
+    ({"path": "g.clq"}, {"problem": "ds"}, {"problem": "ds", "generator": GEN},
      "row 1: needs exactly one of 'generator' or 'path'"),
 ], ids=["generator-and-path", "planted-on-gnm", "planted-on-path",
         "unknown-problem", "no-problem", "path-from-defaults"])
@@ -370,7 +378,7 @@ def test_bench_rejects_rows_that_cannot_run_before_any_row_runs(
     calls = []
     monkeypatch.setattr(benchmod, "dispatch_solve",
                         lambda *args, **kw: calls.append(args))
-    write_edge_list(gen_random_gnm(12, 20, seed=1), tmp_path / "g.el")
+    write_dimacs(gen_random_gnm(12, 20, seed=1), tmp_path / "g.clq")
     path = _manifest(tmp_path, [first, bad], defaults={"reps": 1, **defaults})
     res = runner.invoke(main, ["bench", str(path)])
     assert res.exit_code == 2
@@ -395,9 +403,9 @@ def test_bench_unwritable_out_fails_before_any_row(runner, tmp_path,
 @pytest.mark.parametrize("data, message", [
     ([{"problem": "vc"}], "manifest: must be an object"),
     ({"runs": [5]}, "row 0: must be an object, got 5"),
-    ({"run": [{"problem": "vc", "path": "g.el"}]},
+    ({"run": [{"problem": "vc", "path": "g.clq"}]},
      "manifest: unknown key 'run'"),
-    ({"runs": {"problem": "vc", "path": "g.el"}},
+    ({"runs": {"problem": "vc", "path": "g.clq"}},
      "manifest: runs must be a list"),
     ({"defaults": [], "runs": []}, "defaults: must be an object, got []"),
 ])

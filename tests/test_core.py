@@ -17,7 +17,8 @@ from hybridgraph.core import (
     VertexRangeError,
 )
 
-from helpers import G8_AL, G8_DEG, G8_EDGES, G8_N, color_members, gnm
+from helpers import (G8_AL, G8_DEG, G8_EDGES, G8_N, color_members,
+                     edge_count, gnm)
 from mirrors import EdgeSetMirror
 
 
@@ -46,7 +47,7 @@ def check_against(g, mirror):
             expected = mirror.is_adjacent(u, v)
             assert g.is_adjacent(u, v) == expected
             assert g.is_adjacent(v, u) == expected
-    assert g.active_edge_count() == len(mirror.edges)
+    assert edge_count(g) == len(mirror.edges)
     check_invariants(g)
 
 
@@ -214,7 +215,7 @@ def test_identical_scripts_are_bit_deterministic():
                 snaps.append(g.snapshot())
             elif r < 0.25 and snaps:
                 g.restore(snaps.pop())
-            elif r < 0.7 and g.active_edge_count():
+            elif r < 0.7 and edge_count(g):
                 v = g.max_degree_vertex()
                 g.delete_edge(v, g.neighbors(v)[0])
             elif g.active_count():

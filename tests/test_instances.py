@@ -7,12 +7,11 @@ from hybridgraph.instances import (
     gen_cluster_editing,
     gen_random_gnm,
     parse_dimacs,
-    parse_edge_list,
     read_instance,
 )
 from hybridgraph.solvers import solve_ce_parm, verify_ce
 
-from helpers import format_edge_list, write_edge_list
+from helpers import format_dimacs, write_dimacs
 from oracle import brute_ce
 
 DIMACS_SAMPLE = """\
@@ -66,48 +65,37 @@ def test_parse_dimacs_rejects(text, fragment):
         parse_dimacs(text.splitlines())
 
 
-def test_edge_list_round_trip(tmp_path):
+def test_dimacs_round_trip(tmp_path):
     spec = gen_random_gnm(12, 30, seed=7)
-    path = tmp_path / "sample.edges"
-    write_edge_list(spec, path)
+    path = tmp_path / "sample.clq"
+    write_dimacs(spec, path)
     loaded, warnings = read_instance(path)
     assert warnings == []
     assert loaded.n == spec.n
     assert loaded.edges == spec.edges
     assert loaded.name == "sample"
     # writing what was read reproduces the file byte for byte
-    assert format_edge_list(loaded) == path.read_text()
-
-
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("3\n", "header must be"),
-        ("3 2\n0 1\n0 1\n", "duplicate edge"),
-        ("3 1\n1 1\n", "self-loop"),
-        ("3 1\n0 5\n", "out of range"),
-        ("3 2\n0 1\n", "declared 2"),
-        ("3 1\n0 1 2\n", "bad edge line"),
-        ("", "empty file"),
-    ],
-)
-def test_parse_edge_list_rejects(text, fragment):
-    with pytest.raises(InstanceFormatError, match=fragment):
-        parse_edge_list(text.splitlines())
+    assert format_dimacs(loaded) == path.read_text()
 
 
 def test_read_instance_detects_dimacs_by_content(tmp_path):
-    path = tmp_path / "oddname.txt"
-    path.write_text(DIMACS_SAMPLE)
-    spec, _ = read_instance(path)
-    assert spec.n == 5 and spec.m == 4
+    # DIMACS is the one format, so a file reads under any name
+    for name in ("oddname.txt", "graph.col", "graph.el", "noext"):
+        path = tmp_path / name
+        path.write_text(DIMACS_SAMPLE)
+        spec, _ = read_instance(path)
+        assert spec.edges == [(0, 1), (0, 4), (1, 2), (2, 3)]
+        assert spec.name == name.split(".")[0]
 
 
-def test_read_instance_detects_dimacs_by_extension(tmp_path):
-    path = tmp_path / "graph.col"
-    path.write_text(DIMACS_SAMPLE)
-    spec, _ = read_instance(path)
-    assert spec.edges == [(0, 1), (0, 4), (1, 2), (2, 3)]
+def test_read_instance_rejects_an_n_m_header(tmp_path):
+    # an "n m" header is no DIMACS record: the error names line 1
+    path = tmp_path / "old.el"
+    path.write_text("3 2\n0 1\n1 2\n")
+    with pytest.raises(InstanceFormatError) as exc:
+        read_instance(path)
+    assert str(exc.value) == ("line 1: unrecognized record '3'; DIMACS lines "
+                              "are 'c ...', 'p edge N M' or 'e U V'")
 
 
 def test_gnm_shape_and_determinism():

@@ -93,8 +93,8 @@ def _case(rng):
         if rng.random() < 0.5:
             i = rng.randrange(len(edits))
             edits.insert(i, edits.pop())
-    edge_list = [p if rng.random() < 0.5 else p[::-1] for p in sorted(edges)]
-    return n, edge_list, edits, rng.randint(0, 7)
+    oriented = [p if rng.random() < 0.5 else p[::-1] for p in sorted(edges)]
+    return n, oriented, edits, rng.randint(0, 7)
 
 
 def test_random_verdicts_match_the_reference():
