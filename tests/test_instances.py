@@ -80,12 +80,21 @@ def test_dimacs_round_trip(tmp_path):
 
 def test_read_instance_detects_dimacs_by_content(tmp_path):
     # DIMACS is the one format, so a file reads under any name
-    for name in ("oddname.txt", "graph.col", "graph.el", "noext"):
+    for name in ("oddname.txt", "graph.el", "noext"):
         path = tmp_path / name
         path.write_text(DIMACS_SAMPLE)
         spec, _ = read_instance(path)
+        assert spec.n == 5 and spec.m == 4
         assert spec.edges == [(0, 1), (0, 4), (1, 2), (2, 3)]
         assert spec.name == name.split(".")[0]
+
+
+def test_read_instance_detects_dimacs_by_extension(tmp_path):
+    path = tmp_path / "graph.col"
+    path.write_text(DIMACS_SAMPLE)
+    spec, _ = read_instance(path)
+    assert spec.edges == [(0, 1), (0, 4), (1, 2), (2, 3)]
+    assert spec.name == "graph"
 
 
 def test_read_instance_rejects_an_n_m_header(tmp_path):
