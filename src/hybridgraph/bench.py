@@ -3,8 +3,7 @@
 A manifest is a JSON file:
 
     {
-      "defaults": {"reps": 3, "timeout_s": 600,
-                   "reprs": ["hybrid", "alist"]},
+      "defaults": {"reps": 3, "timeout_s": 600},
       "runs": [
         {"problem": "ds",
          "generator": {"kind": "gnm", "n": 100, "m": 300, "seed": 1}},
@@ -16,13 +15,13 @@ A manifest is a JSON file:
       ]
     }
 
-Each run row is solved `reps` times per representation, reporting the
-median wall time.  The representations take turns rep by rep (hybrid,
-alist, hybrid, ...), so a drift in host speed lands on both sides of
-the row's `speedup`; one that times out drops out of the rotation.
-When a row covers both representations their answers and search-tree
-node counts must match exactly; a mismatch is recorded as a row
-failure.  Rows run one after another in manifest order.  Wall
+Every row runs on both representations, hybrid and alist: each
+solves it `reps` times, reporting the median wall time.  The
+representations take turns rep by rep (hybrid, alist, hybrid, ...), so
+a drift in host speed lands on both sides of the row's `speedup`; one
+that times out drops out of the rotation.  The pair's answers and
+search-tree node counts must match exactly; a mismatch is recorded as
+a row failure.  Rows run one after another in manifest order.  Wall
 times cover the search call only, never parsing or generation.
 
 Row keys are ``KEYS``: which options each problem takes is
@@ -72,8 +71,8 @@ PROBLEMS = {
 }
 
 KEYS = frozenset((
-    "problem", "generator", "path", "name", "k", "fold", "reprs", "reps",
-    "timeout_s", "optional",
+    "problem", "generator", "path", "name", "k", "reps", "timeout_s",
+    "optional",
 ))
 
 GENERATOR_KEYS = {"gnm": ("n", "m", "seed"),
@@ -84,27 +83,22 @@ def _takers(column):
     return " and ".join(p for p, row in PROBLEMS.items() if row[column])
 
 
-def check_options(problem, k, fold, reprs):
+def check_options(problem, k, fold=False):
     """Raise ValueError unless ``problem`` takes the options given.
-    ``k`` and ``fold`` are None when not given (a manifest's false
-    ``fold`` is given).  Scope comes first, then fold with an alist in
-    ``reprs``: folding runs on the contraction mode, which only the
-    hybrid has."""
+    ``k`` is None when not given.  Whether a representation has the
+    mode ``fold`` runs on is ``build_representation``'s business."""
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
     _solver, takes_k, takes_fold = PROBLEMS[problem]
     if k is not None and not takes_k:
         raise ValueError(f"k is only valid for {_takers(1)}")
-    if fold is not None and not takes_fold:
+    if fold and not takes_fold:
         raise ValueError(f"fold is only valid for {_takers(2)}")
     if k is None and takes_k:
         raise ValueError(f"{problem} requires k")
-    if fold and "alist" in reprs:
-        raise ValueError("fold is only valid for reprs without 'alist' "
-                         "(alist has no contraction mode)")
 
 
-def dispatch_solve(problem, n, edges, repr_name, k=None, fold=None,
+def dispatch_solve(problem, n, edges, repr_name, k=None, fold=False,
                    timeout=None, counters=False):
     """Route one (problem, graph, config) to its solver.  With
     ``counters``, the timed result also carries the operation counters
@@ -113,8 +107,8 @@ def dispatch_solve(problem, n, edges, repr_name, k=None, fold=None,
     solver, takes_k, _takes_fold = PROBLEMS[problem]
     args = (k,) if takes_k else ()
     kw = {"repr_name": repr_name, "timeout": timeout}
-    if fold is not None:
-        kw["fold"] = fold
+    if fold:
+        kw["fold"] = True
     res = solver(n, edges, *args, **kw)
     if counters:
         res.counters = solver(n, edges, *args, **kw, instrumented=True).counters
@@ -144,8 +138,8 @@ def _base_record(cfg, repr_name=None, status="ok", error=None):
 
 def run_row(cfg, base_dir, counters=False):
     """Execute one manifest row, already merged over the manifest's
-    ``defaults`` and passed by ``check_row``.  Returns a list of
-    records, one per representation, or a single record when the
+    ``defaults`` and passed by ``check_row``.  Returns the hybrid and
+    alist records, in ``REPR_NAMES`` order, or a single record when the
     instance cannot be made: ``skipped`` for a missing optional file,
     ``error`` for an unreadable file or a generator's range error."""
     cfg = dict(cfg)
@@ -162,15 +156,14 @@ def run_row(cfg, base_dir, counters=False):
             cfg["seed"] = gen["seed"]
     except (ValueError, OSError) as exc:
         return [_base_record(cfg, status="error", error=str(exc))]
-    problem, k, fold = cfg["problem"], cfg.get("k"), cfg.get("fold")
+    problem, k = cfg["problem"], cfg.get("k")
     if k == "planted":
         k = planted
     cfg["name"] = cfg.get("name") or spec.name
-    reprs = cfg.get("reprs", REPR_NAMES)
     reps = cfg.get("reps", 3)
     timeout = cfg.get("timeout_s")
 
-    runs = [(_base_record(cfg, repr_name), []) for repr_name in reprs]
+    runs = [(_base_record(cfg, repr_name), []) for repr_name in REPR_NAMES]
     for _ in range(reps):
         for rec, results in runs:
             if rec["status"] != "ok":
@@ -178,7 +171,7 @@ def run_row(cfg, base_dir, counters=False):
             try:
                 # the first rep becomes the record, so it alone counts
                 results.append(dispatch_solve(
-                    problem, spec.n, spec.edges, rec["repr"], k=k, fold=fold,
+                    problem, spec.n, spec.edges, rec["repr"], k=k,
                     timeout=timeout, counters=counters and not results))
             except SolveTimeout:
                 rec["status"] = "timeout"
@@ -195,23 +188,18 @@ def run_row(cfg, base_dir, counters=False):
         rec["wall_ms"] = round(statistics.median(r.wall_ms for r in results), 3)
     records = [rec for rec, _ in runs]
 
-    ok = [r for r in records if r["status"] == "ok"]
-    if len(ok) == 2:
-        a, b = ok
-        if (a["answer"], a["size"], a["nodes"]) != (b["answer"], b["size"], b["nodes"]):
-            for r in ok:
+    hy, al = records
+    if hy["status"] == al["status"] == "ok":
+        if ((hy["answer"], hy["size"], hy["nodes"])
+                != (al["answer"], al["size"], al["nodes"])):
+            for r in records:
                 r["status"] = "error"
                 r["error"] = (
                     "representation mismatch: "
-                    f"{a['repr']}=({a['answer']},{a['size']},{a['nodes']}) "
-                    f"{b['repr']}=({b['answer']},{b['size']},{b['nodes']})")
-        else:
-            # reprs are distinct names, so the pair is one of each
-            wall = {r["repr"]: r["wall_ms"] for r in ok}
-            if wall["hybrid"] > 0:
-                ratio = round(wall["alist"] / wall["hybrid"], 3)
-                for r in ok:
-                    r["speedup"] = ratio
+                    f"hybrid=({hy['answer']},{hy['size']},{hy['nodes']}) "
+                    f"alist=({al['answer']},{al['size']},{al['nodes']})")
+        elif hy["wall_ms"] > 0:
+            hy["speedup"] = al["speedup"] = round(al["wall_ms"] / hy["wall_ms"], 3)
     return records
 
 
@@ -230,11 +218,8 @@ VALUE_RULES = (
     ("reps", "an int >= 1", lambda x: type(x) is int and x >= 1),
     ("timeout_s", "null or a number >= 0",
      lambda x: x is None or type(x) in (int, float) and x >= 0),
-    *((key, "true or false", lambda x: type(x) is bool)
-      for key in ("fold", "optional")),
-    ("reprs", f"a non-empty list of distinct names from {REPR_NAMES}",
-     lambda x: type(x) is list and x != [] and all(r in REPR_NAMES for r in x)
-     and len(set(x)) == len(x)),
+    ("optional", "true or false", lambda x: type(x) is bool),
+    ("name", "a non-empty string", lambda x: type(x) is str and x != ""),
     ("generator", "an object with 'kind' and int values: "
      + " or ".join(f"{kind} {keys}" for kind, keys in GENERATOR_KEYS.items()),
      _is_generator),
@@ -263,8 +248,7 @@ def check_row(cfg, where):
     try:
         if cfg.get("problem") is None:
             raise ValueError("missing 'problem'")
-        check_options(cfg["problem"], cfg.get("k"), cfg.get("fold"),
-                      cfg.get("reprs", REPR_NAMES))
+        check_options(cfg["problem"], cfg.get("k"))
         gen = cfg.get("generator")
         if (gen is None) == (cfg.get("path") is None):
             raise ValueError("needs exactly one of 'generator' or 'path'")

@@ -44,7 +44,7 @@ def main():
 @click.option("--k", type=int, default=None,
               help="Budget for vc-parm / ce.")
 @click.option("--fold", is_flag=True,
-              help="Degree-2 folding (vc-parm with --repr hybrid only).")
+              help="Degree-2 folding (vc-parm only; needs a contraction mode).")
 @click.option("--timeout-s", type=float, default=None,
               help="Abort the search after this many seconds.")
 @click.option("--counters", is_flag=True,
@@ -53,9 +53,8 @@ def main():
 def solve(problem, input_path, repr_name, k, fold, timeout_s, counters,
           as_json):
     """Solve one instance and print the result record."""
-    fold = fold or None   # an absent flag is no option given
     try:
-        benchmod.check_options(problem, k, fold, (repr_name,))
+        benchmod.check_options(problem, k, fold)
         spec, warnings = read_instance(input_path)
     except (OSError, ValueError) as exc:
         _fail(exc)
@@ -98,16 +97,19 @@ def solve(problem, input_path, repr_name, k, fold, timeout_s, counters,
               help="Add an untimed instrumented run per row.")
 def bench(manifest, out, reps, counters):
     """Run a benchmark manifest and write its records as JSON."""
-    try:   # an unwritable --out fails before any row runs
-        fh = click.open_file(out, "w", encoding="ascii")
+    # an unwritable --out fails before any row runs; opening it to
+    # append keeps what it holds if the manifest is rejected
+    try:
+        with click.open_file(out, "a", encoding="ascii"):
+            pass
     except OSError as exc:
         _fail(exc)
-    with fh:
-        try:
-            records, all_ok = benchmod.run_manifest(
-                manifest, reps=reps, counters=counters)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            _fail(exc)
+    try:
+        records, all_ok = benchmod.run_manifest(
+            manifest, reps=reps, counters=counters)
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        _fail(exc)
+    with click.open_file(out, "w", encoding="ascii") as fh:
         benchmod.write_json(records, fh)
     if out != "-":
         click.echo(f"wrote {len(records)} records to {out}", err=True)

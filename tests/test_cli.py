@@ -212,8 +212,7 @@ def test_bench_empty_manifest(runner, tmp_path):
 
 def test_bench_counters_column(tmp_path):
     path = _manifest(tmp_path, [
-        {"problem": "vc", "generator": {"kind": "gnm", "n": 16, "m": 30, "seed": 4},
-         "reprs": ["hybrid"]},
+        {"problem": "vc", "generator": {"kind": "gnm", "n": 16, "m": 30, "seed": 4}},
     ])
     records, all_ok = run_manifest(path, counters=True)
     assert all_ok
@@ -288,24 +287,38 @@ def test_bench_rejects_reps_below_one_row(runner, tmp_path):
         run_manifest(_manifest(tmp_path, [], defaults={"reps": 0}))
 
 
-def test_bench_rejects_unknown_keys(tmp_path):
+def test_bench_rejects_unknown_keys(runner, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(benchmod, "dispatch_solve",
+                        lambda *args, **kw: calls.append(args))
     gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
-    for row, key in (({"problem": "vc", "generator": gen, "lb": "clique"}, "lb"),
-                     ({"problem": "ds", "generator": gen, "rep": 2}, "rep"),
-                     ({"problem": "ds", "generator": gen, "counters": True},
-                      "counters")):
-        with pytest.raises(ValueError, match=f"row 0: unknown key '{key}'"):
-            run_manifest(_manifest(tmp_path, [row]))
-    with pytest.raises(ValueError, match="defaults: unknown key 'lb'"):
-        run_manifest(_manifest(tmp_path, [], defaults={"lb": "matching"}))
+    good = {"problem": "vc-parm", "k": 3, "generator": gen}
+    # every row runs the hybrid/alist pair, so neither reprs nor fold
+    # (which only the hybrid can run) is a key
+    for rows, defaults, where, key in (
+            ([{"problem": "vc", "generator": gen, "lb": "clique"}], {}, "row 0",
+             "lb"),
+            ([{"problem": "ds", "generator": gen, "rep": 2}], {}, "row 0", "rep"),
+            ([{"problem": "ds", "generator": gen, "counters": True}], {},
+             "row 0", "counters"),
+            ([good, {**good, "reprs": ["hybrid"]}], {}, "row 1", "reprs"),
+            ([good, {**good, "fold": True}], {}, "row 1", "fold"),
+            ([], {"lb": "matching"}, "defaults", "lb"),
+            ([good], {"reprs": ["hybrid", "alist"]}, "defaults", "reprs"),
+            ([good], {"fold": False}, "defaults", "fold")):
+        path = _manifest(tmp_path, rows, defaults={"reps": 1, **defaults})
+        res = runner.invoke(main, ["bench", str(path)])
+        assert res.exit_code == 2
+        assert f"error: {where}: unknown key '{key}'\n" in res.stderr
+        assert res.stdout == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize("key, value", [
-    ("k", "x"), ("k", True), ("k", 2.5), ("reps", 2.5), ("timeout_s", "5"),
-    ("fold", "false"), ("fold", 0), ("optional", "true"),
-    ("path", 5), ("reprs", "hybrid"), ("reprs", []),
-    ("reprs", ["hybrid", "hybrid"]), ("reprs", ["hybrid", "matrix"]),
-    ("reprs", [["hybrid"]]), ("path", None),
+    ("k", "x"), ("k", True), ("k", 2.5), ("k", -1), ("reps", 2.5),
+    ("timeout_s", "5"), ("timeout_s", -1), ("optional", "true"),
+    ("optional", 1), ("name", 5), ("name", ["x"]), ("name", ""),
+    ("name", None), ("path", 5), ("path", None),
     ("generator", "gnm"), ("generator", None),
     ("generator", {"kind": "gnm", "n": "12", "m": 20, "seed": 1}),
     ("generator", {"kind": "gnm", "n": 12, "m": 20, "seed": True}),
@@ -327,15 +340,12 @@ def test_bench_rejects_malformed_values(runner, tmp_path, key, value):
 
 
 @pytest.mark.parametrize("row, defaults, key", [
-    ({"problem": "ds", "k": 3, "fold": True}, {}, "k"),
+    ({"problem": "ds", "k": 3}, {}, "k"),
     ({"problem": "vc", "k": 3}, {}, "k"),
-    ({"problem": "ds", "fold": True}, {}, "fold"),
-    ({"problem": "ce", "k": 3, "fold": False}, {}, "fold"),
+    ({"problem": "ds", "k": "planted"}, {}, "k"),
+    ({"problem": "vc"}, {"k": 3}, "k"),
     ({"problem": "vc", "k": 0}, {}, "k"),
     ({"problem": "ds"}, {"k": 3}, "k"),
-    ({"problem": "vc"}, {"fold": True}, "fold"),
-    ({"problem": "vc-parm", "k": 3, "fold": True}, {}, "fold"),
-    ({"problem": "vc-parm", "k": 3, "fold": True}, {"reprs": ["alist"]}, "fold"),
 ])
 def test_bench_rejects_keys_a_row_cannot_use(runner, tmp_path, row, defaults,
                                              key):
@@ -345,10 +355,7 @@ def test_bench_rejects_keys_a_row_cannot_use(runner, tmp_path, row, defaults,
                      defaults={"reps": 1, **defaults})
     res = runner.invoke(main, ["bench", str(path)])
     assert res.exit_code == 2
-    # a fold default also reaches row 0, which runs on alist, and the
-    # first bad row in manifest order is the one reported
-    where = 0 if defaults.get("fold") else 1
-    assert f"row {where}: {key} is only valid for" in res.stderr
+    assert f"row 1: {key} is only valid for" in res.stderr
     assert res.stdout == ""
 
 
@@ -400,6 +407,53 @@ def test_bench_unwritable_out_fails_before_any_row(runner, tmp_path,
     assert calls == []
 
 
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"runs": [{"problem": "mis", "generator": GEN}]}),
+     "row 0: unknown problem 'mis'"),
+    (json.dumps({"defaults": {"reprs": ["hybrid"]}, "runs": []}),
+     "defaults: unknown key 'reprs'"),
+    ('{"runs": [', "Expecting value"),
+    (None, "No such file or directory"),
+], ids=["unknown-problem", "unknown-key", "bad-json", "no-manifest"])
+def test_bench_rejected_manifest_keeps_the_out_file(runner, tmp_path, text,
+                                                    message):
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "old.json"
+    out.write_text('[{"old": true}]\n')
+    res = runner.invoke(main, ["bench", str(path), "--out", str(out)])
+    assert res.exit_code == 2
+    assert message in res.stderr
+    assert out.read_text() == '[{"old": true}]\n'
+
+
+def test_bench_replaces_the_out_file(runner, tmp_path):
+    out = tmp_path / "old.json"
+    out.write_text('[{"old": true}]\n' * 100)
+    path = _manifest(tmp_path, [{"problem": "ds", "generator": GEN}],
+                     defaults={"reps": 1})
+    res = runner.invoke(main, ["bench", str(path), "--out", str(out)])
+    assert res.exit_code == 0
+    assert [r["repr"] for r in json.loads(out.read_text())] == ["hybrid", "alist"]
+
+
+def test_bench_pair_that_disagrees_fails_both(tmp_path, monkeypatch):
+    def fake_solve(problem, n, edges, repr_name, **kw):
+        nodes = 5 if repr_name == "hybrid" else 6
+        return SolverResult(problem, n, 2, [0, 1], nodes, 1.0, repr_name,
+                            size=2)
+
+    monkeypatch.setattr(benchmod, "dispatch_solve", fake_solve)
+    path = _manifest(tmp_path, [{"problem": "ds", "generator": GEN}])
+    records, all_ok = run_manifest(path)
+    assert not all_ok
+    assert [(r["repr"], r["status"], r["speedup"]) for r in records] == [
+        ("hybrid", "error", None), ("alist", "error", None)]
+    assert records[0]["error"] == records[1]["error"] == (
+        "representation mismatch: hybrid=(2,2,5) alist=(2,2,6)")
+
+
 @pytest.mark.parametrize("data, message", [
     ([{"problem": "vc"}], "manifest: must be an object"),
     ({"runs": [5]}, "row 0: must be an object, got 5"),
@@ -432,37 +486,29 @@ def test_bench_rejects_malformed_manifest_shapes(runner, tmp_path, data,
 def test_solve_and_bench_reject_the_same_options(runner, tmp_path,
                                                  petersen_file, problem, k,
                                                  fold, repr_name):
-    # both front ends ask check_options, so their messages cannot drift
+    # both front ends ask check_options, so their messages cannot drift;
+    # fold is a solve flag only, and build_representation refuses it on
+    # a representation without the contraction mode
     with pytest.raises(ValueError) as exc:
-        benchmod.check_options(problem, k, fold, (repr_name,))
+        benchmod.check_options(problem, k, fold)
+        benchmod.dispatch_solve(problem, 2, [(0, 1)], repr_name, k=k,
+                                fold=fold)
     message = str(exc.value)
-    assert "k" in message or "fold" in message
-    given = {key: value for key, value in (("k", k), ("fold", fold))
-             if value is not None}
+    assert any(word in message for word in ("k", "fold", "contraction"))
     flags = [*(["--k", str(k)] if k is not None else []),
              *(["--fold"] if fold else [])]
     res = runner.invoke(main, ["solve", problem, "--input", petersen_file,
                                "--repr", repr_name, *flags])
     assert res.exit_code == 2
     assert f"error: {message}\n" in res.stderr
+    if fold:
+        return
     path = _manifest(tmp_path, [{"problem": problem, "path": petersen_file,
-                                 "reprs": [repr_name], **given}])
+                                 **({} if k is None else {"k": k})}])
     res = runner.invoke(main, ["bench", str(path)])
     assert res.exit_code == 2
     assert f"error: row 0: {message}\n" in res.stderr
     assert res.stdout == ""
-
-
-def test_bench_accepts_fold_where_it_runs(tmp_path):
-    gen = {"kind": "gnm", "n": 12, "m": 20, "seed": 1}
-    path = _manifest(tmp_path, [
-        {"problem": "vc-parm", "k": 6, "generator": gen, "fold": False},
-        {"problem": "vc-parm", "k": 6, "generator": gen, "fold": True,
-         "reprs": ["hybrid"]}], defaults={"reps": 1})
-    records, all_ok = run_manifest(path)
-    assert all_ok
-    assert [(r["repr"], r["fold"]) for r in records] == [
-        ("hybrid", False), ("alist", False), ("hybrid", True)]
 
 
 def test_bench_row_reads_defaults(tmp_path):
@@ -480,13 +526,14 @@ def test_bench_row_reads_defaults(tmp_path):
 @pytest.mark.parametrize("problem, repr_name, extra, row", [
     ("ds", "hybrid", [], {}),
     ("vc", "alist", [], {}),
-    ("vc-parm", "hybrid", ["--k", "6", "--fold"], {"k": 6, "fold": True}),
+    ("vc-parm", "hybrid", ["--k", "6"], {"k": 6}),
     ("ce", "alist", ["--k", "3"], {"k": 3}),
 ])
 def test_solve_and_bench_records_agree(runner, petersen_file, problem,
                                        repr_name, extra, row):
-    # one record format: the bench record is the solve record plus row
-    # fields, with the median wall time over the reps
+    # one record format: the bench record of the matching representation
+    # is the solve record plus row fields, with the median wall time over
+    # the reps
     res = runner.invoke(main, ["solve", problem, "--input", petersen_file,
                                "--repr", repr_name, "--counters", "--json",
                                *extra])
@@ -494,12 +541,13 @@ def test_solve_and_bench_records_agree(runner, petersen_file, problem,
     solved = json.loads(res.stdout)
     out = Path(petersen_file).with_suffix(".json")
     path = _manifest(Path(petersen_file).parent,
-                     [{"problem": problem, "path": petersen_file,
-                       "reprs": [repr_name], **row}])
+                     [{"problem": problem, "path": petersen_file, **row}])
     res = runner.invoke(main, ["bench", str(path), "--counters",
                                "--out", str(out)])
     assert res.exit_code == 0
-    [record] = json.loads(out.read_text())
+    records = json.loads(out.read_text())
+    assert [r["repr"] for r in records] == ["hybrid", "alist"]
+    [record] = [r for r in records if r["repr"] == repr_name]
     assert record["status"] == "ok"
     keys = set(SolverResult("vc", 0, 0, [], 0, 0.0, "hybrid").as_dict())
     assert keys <= set(solved) and keys <= set(record)
