@@ -45,6 +45,8 @@ class BaselineGraph:
         self.idxlist = list(range(n))
         self.n_c = n
         self.log = []
+        # validate every edge before any cell exists; edges is read
+        # twice, so it must be a sequence, not an iterator
         seen = set()
         for e in edges:
             u, v = e
@@ -52,26 +54,41 @@ class BaselineGraph:
                 raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
+            key = u * n + v if u < v else v * n + u
             if key in seen:
                 raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
             seen.add(key)
-            self._new_cell(u, v)
-            self._new_cell(v, u)
+        self._add_cells(edges)
 
-    def _new_cell(self, o, w):
-        """Prepend a cell (neighbor w) to o's chain.  Called in twin
-        pairs, (u, v) then (v, u), so the twin of cell c is c ^ 1."""
-        c = len(self.nbr)
-        self.nbr.append(w)
-        self.prv.append(-1)
-        first = self.head[o]
-        self.nxt.append(first)
-        if first != -1:
-            self.prv[first] = c
-        self.head[o] = c
-        self.deg[o] += 1
-        return c
+    def _add_cells(self, edges):
+        """Append the twin cells (u, v) then (v, u) of each edge, each
+        prepended to its owner's chain, so the twin of cell c is c ^ 1.
+        The build and ``add_edge`` both allocate cells here."""
+        nbr = self.nbr
+        prv = self.prv
+        nxt = self.nxt
+        head = self.head
+        deg = self.deg
+        c = len(nbr)
+        for u, v in edges:
+            nbr.append(v)
+            prv.append(-1)
+            first = head[u]
+            nxt.append(first)
+            if first != -1:
+                prv[first] = c
+            head[u] = c
+            deg[u] += 1
+            c += 1
+            nbr.append(u)
+            prv.append(-1)
+            first = head[v]
+            nxt.append(first)
+            if first != -1:
+                prv[first] = c
+            head[v] = c
+            deg[v] += 1
+            c += 1
 
     # -- queries ------------------------------------------------------
 
@@ -179,8 +196,8 @@ class BaselineGraph:
         assert u != v, "self-loop"
         assert not BaselineGraph.is_adjacent(self, u, v), \
             f"add_edge on adjacent pair ({u},{v})"
-        cu = self._new_cell(u, v)
-        self._new_cell(v, u)
+        cu = len(self.nbr)
+        self._add_cells(((u, v),))
         self.log.append(("add", cu))
 
     # -- undo ---------------------------------------------------------

@@ -70,12 +70,15 @@ class HybridGraph:
                 raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            if im[u][v] != -1:
+            imu = im[u]
+            if imu[v] != -1:
                 raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
-            im[u][v] = len(al[v])
-            al[v].append(u)
-            im[v][u] = len(al[u])
-            al[u].append(v)
+            alu = al[u]
+            alv = al[v]
+            imu[v] = len(alv)
+            alv.append(u)
+            im[v][u] = len(alu)
+            alu.append(v)
         self.al = al
         self.im = im
         self.vlist = list(range(n))

@@ -1,10 +1,11 @@
 """Exact vertex cover.
 
 ``solve_vc_opt`` is a branch-and-bound optimization: degree-0/1
-reductions, two-way mirror branching on a maximum-degree vertex, a
-greedy initial incumbent, and a lower bound that is the larger of a
-greedy maximal matching (a cover takes one end of every matched edge)
-and edges over maximum degree (no vertex covers more than Δ edges).
+reductions, two-way branching on a maximum-degree vertex v (take v, or
+take all of N(v)), a greedy initial incumbent, and a lower bound that
+is the larger of a greedy maximal matching (a cover takes one end of
+every matched edge) and edges over maximum degree (no vertex covers
+more than Δ edges).
 
 ``solve_vc_parm`` decides whether a cover of size k exists.  It adds
 the high-degree rule (degree > k forces the vertex) and the m > k^2

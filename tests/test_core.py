@@ -9,6 +9,7 @@ import random
 import pytest
 
 from hybridgraph.addition import AdditionGraph
+from hybridgraph.baseline import BaselineGraph
 from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import (
     DuplicateEdgeError,
@@ -139,17 +140,38 @@ def test_empty_and_tiny_graphs():
     assert g1.active_count() == 0
 
 
-def test_build_rejects_bad_input():
-    with pytest.raises(SelfLoopError):
-        HybridGraph(3, [(1, 1)])
-    with pytest.raises(DuplicateEdgeError):
-        HybridGraph(3, [(0, 1), (1, 0)])
-    with pytest.raises(DuplicateEdgeError):
-        HybridGraph(3, [(0, 1), (0, 1)])
-    with pytest.raises(VertexRangeError):
-        HybridGraph(3, [(0, 3)])
-    with pytest.raises(VertexRangeError):
-        HybridGraph(3, [(-1, 2)])
+@pytest.mark.parametrize("n, edges, exc, msg", [
+    pytest.param(3, [(1, 1)], SelfLoopError, "self-loop at vertex 1",
+                 id="self-loop"),
+    pytest.param(3, [(0, 1), (1, 0)], DuplicateEdgeError,
+                 "duplicate edge (1,0)", id="duplicate-reversed"),
+    pytest.param(3, [(0, 1), (0, 1)], DuplicateEdgeError,
+                 "duplicate edge (0,1)", id="duplicate"),
+    pytest.param(3, [(2, 0), (1, 2), (0, 2)], DuplicateEdgeError,
+                 "duplicate edge (0,2)", id="duplicate-later"),
+    pytest.param(3, [(0, 3)], VertexRangeError,
+                 "edge (0,3) out of range for n=3", id="range-high"),
+    pytest.param(3, [(-1, 2)], VertexRangeError,
+                 "edge (-1,2) out of range for n=3", id="range-negative"),
+    pytest.param(-1, [], VertexRangeError, "negative vertex count -1",
+                 id="negative-n"),
+    # the first bad edge in input order decides
+    pytest.param(3, [(0, 5), (1, 1)], VertexRangeError,
+                 "edge (0,5) out of range for n=3", id="first-range"),
+    pytest.param(3, [(1, 1), (0, 5)], SelfLoopError,
+                 "self-loop at vertex 1", id="first-self-loop"),
+    pytest.param(3, [(0, 1), (1, 0), (2, 2)], DuplicateEdgeError,
+                 "duplicate edge (1,0)", id="first-duplicate"),
+    pytest.param(3, [(0, 1), (2, 2), (1, 0)], SelfLoopError,
+                 "self-loop at vertex 2", id="first-self-loop-before-duplicate"),
+])
+@pytest.mark.parametrize("cls", [HybridGraph, BaselineGraph],
+                         ids=lambda c: c.__name__)
+def test_build_rejects_bad_input(cls, n, edges, exc, msg):
+    with pytest.raises(exc) as info:
+        cls(n, edges)
+    assert type(info.value) is exc
+    assert str(info.value) == msg
 
 
 def test_contract_violations_assert():
