@@ -5,13 +5,7 @@ solvers and a benchmarking harness."""
 from .addition import AdditionGraph
 from .baseline import BaselineGraph
 from .contraction import ContractionGraph
-from .core import (
-    DuplicateEdgeError,
-    GraphBuildError,
-    HybridGraph,
-    SelfLoopError,
-    VertexRangeError,
-)
+from .core import GraphBuildError, HybridGraph
 from .instances import (
     InstanceFormatError,
     InstanceSpec,
@@ -37,15 +31,12 @@ __all__ = [
     "AdditionGraph",
     "BaselineGraph",
     "ContractionGraph",
-    "DuplicateEdgeError",
     "GraphBuildError",
     "HybridGraph",
     "InstanceFormatError",
     "InstanceSpec",
-    "SelfLoopError",
     "SolveTimeout",
     "SolverResult",
-    "VertexRangeError",
     "gen_cluster_editing",
     "gen_random_gnm",
     "read_instance",

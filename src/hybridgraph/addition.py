@@ -36,8 +36,8 @@ from .core import HybridGraph
 class AdditionGraph(HybridGraph):
     __slots__ = ("base_deg", "ndeg")
 
-    def _init_mode(self):
-        n = self.n
+    def __init__(self, n, edges):
+        super().__init__(n, edges)
         self.base_deg = list(self.deg)
         for row in self.al:
             row.extend([-1] * (n - len(row)))  # -1 marks never-written slots
@@ -83,11 +83,9 @@ class AdditionGraph(HybridGraph):
         ndeg[v] += 1
 
     def snapshot(self):
-        return self.deg.copy(), self.n_c, self.ndeg.copy()
+        return HybridGraph.snapshot(self), self.ndeg.copy()
 
     def restore(self, saved):
-        deg, n_c, ndeg = saved
-        assert len(deg) == len(self.deg), "snapshot from a different graph"
-        self.deg[:] = deg
-        self.n_c = n_c
+        plain, ndeg = saved
+        HybridGraph.restore(self, plain)
         self.ndeg[:] = ndeg

@@ -23,7 +23,7 @@ in adjacency and undo.  Undo is last-in, first-out, so a deleted vertex
 is back at ``vlist[n_c]`` when its record is undone: ``n_c += 1``.
 """
 
-from .core import DuplicateEdgeError, HybridGraph, SelfLoopError, VertexRangeError
+from .core import GraphBuildError, HybridGraph
 
 
 class BaselineGraph:
@@ -34,7 +34,7 @@ class BaselineGraph:
 
     def __init__(self, n, edges):
         if n < 0:
-            raise VertexRangeError(f"negative vertex count {n}")
+            raise GraphBuildError(f"negative vertex count {n}")
         self.n = n
         self.nbr = []
         self.prv = []
@@ -46,17 +46,18 @@ class BaselineGraph:
         self.n_c = n
         self.log = []
         # validate every edge before any cell exists; edges is read
-        # twice, so it must be a sequence, not an iterator
+        # twice, so an iterator is read into a list first
+        edges = list(edges)
         seen = set()
         for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
-                raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
+                raise GraphBuildError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
+                raise GraphBuildError(f"self-loop at vertex {u}")
             key = u * n + v if u < v else v * n + u
             if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
+                raise GraphBuildError(f"duplicate edge ({u},{v})")
             seen.add(key)
         self._add_cells(edges)
 
@@ -113,7 +114,10 @@ class BaselineGraph:
             c = nxt[c]
         return out
 
-    # activity and degree: the hybrid's bodies over the same vlist and deg
+    # activity and degree: the hybrid's bodies over the same vlist and
+    # deg.  They are assigned, not inherited from a shared base class,
+    # because searchbench's tracer wraps only the methods in each
+    # class's own vars(); inherited ones would go untraced.
     __repr__ = HybridGraph.__repr__
     degree = HybridGraph.degree
     active_vertices = HybridGraph.active_vertices

@@ -36,8 +36,8 @@ from .core import HybridGraph
 class ContractionGraph(HybridGraph):
     __slots__ = ("csl", "_stamp", "_gen", "vcolor", "cc")
 
-    def _init_mode(self):
-        n = self.n
+    def __init__(self, n, edges):
+        super().__init__(n, edges)
         csl = [[-1] * n for _ in range(n)]
         for v in range(n):
             csl[v][0] = v
@@ -158,12 +158,10 @@ class ContractionGraph(HybridGraph):
     # -- undo ---------------------------------------------------------
 
     def snapshot(self):
-        return self.deg.copy(), self.n_c, self.vcolor.copy(), self.cc.copy()
+        return HybridGraph.snapshot(self), self.vcolor.copy(), self.cc.copy()
 
     def restore(self, saved):
-        deg, n_c, vcolor, cc = saved
-        assert len(deg) == len(self.deg), "snapshot from a different graph"
-        self.deg[:] = deg
-        self.n_c = n_c
+        plain, vcolor, cc = saved
+        HybridGraph.restore(self, plain)
         self.vcolor[:] = vcolor
         self.cc[:] = cc

@@ -15,7 +15,8 @@ that undo rolls back.  All arrays are 0-indexed.
   vertices.
 - ``deg`` and ``n_c``: everything a search path mutates per node in
   plain mode.  ``snapshot()`` copies them into a tuple, ``restore()``
-  copies them back; each extension mode adds its own vectors to both.
+  copies them back; each extension mode's snapshot is this one plus
+  copies of its own vectors, and its restore hands this part back.
   The global tables are intentionally never rolled back, so undoing an
   arbitrarily long burst of operations costs one O(n) copy and nothing
   per undone operation.
@@ -41,18 +42,6 @@ class GraphBuildError(ValueError):
     """Rejected input graph."""
 
 
-class SelfLoopError(GraphBuildError):
-    pass
-
-
-class DuplicateEdgeError(GraphBuildError):
-    pass
-
-
-class VertexRangeError(GraphBuildError):
-    pass
-
-
 class HybridGraph:
     """Plain mode: edge and vertex deletions, O(n) restore."""
 
@@ -60,19 +49,19 @@ class HybridGraph:
 
     def __init__(self, n, edges):
         if n < 0:
-            raise VertexRangeError(f"negative vertex count {n}")
+            raise GraphBuildError(f"negative vertex count {n}")
         self.n = n
         al = [[] for _ in range(n)]
         im = [[-1] * n for _ in range(n)]
         for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
-                raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
+                raise GraphBuildError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
+                raise GraphBuildError(f"self-loop at vertex {u}")
             imu = im[u]
             if imu[v] != -1:
-                raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
+                raise GraphBuildError(f"duplicate edge ({u},{v})")
             alu = al[u]
             alv = al[v]
             imu[v] = len(alv)
@@ -85,10 +74,6 @@ class HybridGraph:
         self.idxlist = list(range(n))
         self.deg = [len(row) for row in al]
         self.n_c = n
-        self._init_mode()
-
-    def _init_mode(self):
-        pass
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, active={self.n_c})"

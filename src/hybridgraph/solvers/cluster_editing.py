@@ -119,6 +119,7 @@ class _EditSearch(Search):
 def solve_ce_parm(n, edges, k, repr_name="hybrid", timeout=None,
                   instrumented=False):
     """Decide whether at most k edits make the graph disjoint cliques."""
+    edges = list(edges)  # read again to verify the witness
     if k < 0:
         raise ValueError("k must be non-negative")
     g = build_representation(repr_name, "addition", n, edges, instrumented)

@@ -3,7 +3,7 @@ results, representation factory."""
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..addition import AdditionGraph
 from ..baseline import BaselineGraph
@@ -82,26 +82,14 @@ class SolverResult:
     witness: list | None
     nodes: int
     wall_ms: float
-    repr_name: str
+    repr: str
     size: int | None = None
     k: int | None = None
     fold: bool = False
     counters: dict | None = field(default=None, repr=False)
 
     def as_dict(self):
-        return {
-            "problem": self.problem,
-            "n": self.n,
-            "answer": self.answer,
-            "size": self.size,
-            "k": self.k,
-            "fold": self.fold,
-            "witness": self.witness,
-            "nodes": self.nodes,
-            "wall_ms": round(self.wall_ms, 3),
-            "repr": self.repr_name,
-            "counters": self.counters,
-        }
+        return {**asdict(self), "wall_ms": round(self.wall_ms, 3)}
 
 
 _CLASSES = {

@@ -118,6 +118,7 @@ class _CoverSearch(Search):
 def solve_ds_opt(n, edges, repr_name="hybrid", timeout=None,
                  instrumented=False):
     """Minimum dominating set size with a witness."""
+    edges = list(edges)  # read again to verify the witness
     g = build_representation(repr_name, "plain", 2 * n, cover_edges(n, edges),
                              instrumented)
     search = _CoverSearch(g, timeout, n)

@@ -204,6 +204,7 @@ class _OptSearch(Search):
 def solve_vc_opt(n, edges, repr_name="hybrid", timeout=None,
                  instrumented=False):
     """Minimum vertex cover size with a witness."""
+    edges = list(edges)  # read again to verify the witness
     g = build_representation(repr_name, "plain", n, edges, instrumented)
     search = _OptSearch(g, timeout)
     witness, wall = timed(n + 1, search.run)
@@ -237,6 +238,7 @@ class _ParmSearch(Search):
 def solve_vc_parm(n, edges, k, repr_name="hybrid", fold=False, timeout=None,
                   instrumented=False):
     """Decide whether a vertex cover of size at most k exists."""
+    edges = list(edges)  # read again to verify the witness
     if k < 0:
         raise ValueError("k must be non-negative")
     mode = "contraction" if fold else "plain"

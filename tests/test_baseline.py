@@ -40,6 +40,14 @@ def test_build_matches_tables():
     assert edge_count(g) == len(G8_EDGES)
 
 
+def test_build_from_an_iterator_matches_the_list_build():
+    n, edges = gnm(20, 60, 5)
+    a = BaselineGraph(n, edges)
+    b = BaselineGraph(n, iter(edges))
+    for name in ("nbr", "prv", "nxt", "head", "deg"):
+        assert getattr(b, name) == getattr(a, name), name
+
+
 def test_delete_and_undo_edge():
     g = BaselineGraph(G8_N, G8_EDGES)
     mark = g.snapshot()
@@ -91,6 +99,16 @@ def test_nested_marks_unwind_in_order():
     g.restore(m0)
     assert g.is_active(5)
     assert g.degree(5) == 4
+
+
+def test_restore_rejects_a_mark_past_its_log():
+    g = BaselineGraph(G8_N, G8_EDGES)
+    g.delete_edge(0, 3)
+    mark = g.snapshot()
+    g.restore(0)
+    with pytest.raises(AssertionError,
+                       match="mark from a different graph or future"):
+        g.restore(mark)
 
 
 def test_randomized_against_mirror():

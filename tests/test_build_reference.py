@@ -12,7 +12,7 @@ both."""
 import random
 
 from hybridgraph.baseline import BaselineGraph
-from hybridgraph.core import DuplicateEdgeError, SelfLoopError, VertexRangeError
+from hybridgraph.core import GraphBuildError
 from hybridgraph.solvers.dominating_set import cover_edges
 
 from helpers import gnm
@@ -25,7 +25,7 @@ class RefBaseline(BaselineGraph):
 
     def __init__(self, n, edges):
         if n < 0:
-            raise VertexRangeError(f"negative vertex count {n}")
+            raise GraphBuildError(f"negative vertex count {n}")
         self.n = n
         self.nbr = []
         self.prv = []
@@ -40,12 +40,12 @@ class RefBaseline(BaselineGraph):
         for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
-                raise VertexRangeError(f"edge ({u},{v}) out of range for n={n}")
+                raise GraphBuildError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
+                raise GraphBuildError(f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
+                raise GraphBuildError(f"duplicate edge ({u},{v})")
             seen.add(key)
             self._new_cell(u, v)
             self._new_cell(v, u)

@@ -11,12 +11,7 @@ import pytest
 from hybridgraph.addition import AdditionGraph
 from hybridgraph.baseline import BaselineGraph
 from hybridgraph.contraction import ContractionGraph
-from hybridgraph.core import (
-    DuplicateEdgeError,
-    HybridGraph,
-    SelfLoopError,
-    VertexRangeError,
-)
+from hybridgraph.core import GraphBuildError, HybridGraph
 
 from helpers import (G8_AL, G8_DEG, G8_EDGES, G8_N, color_members,
                      edge_count, gnm)
@@ -141,28 +136,28 @@ def test_empty_and_tiny_graphs():
 
 
 @pytest.mark.parametrize("n, edges, exc, msg", [
-    pytest.param(3, [(1, 1)], SelfLoopError, "self-loop at vertex 1",
+    pytest.param(3, [(1, 1)], GraphBuildError, "self-loop at vertex 1",
                  id="self-loop"),
-    pytest.param(3, [(0, 1), (1, 0)], DuplicateEdgeError,
+    pytest.param(3, [(0, 1), (1, 0)], GraphBuildError,
                  "duplicate edge (1,0)", id="duplicate-reversed"),
-    pytest.param(3, [(0, 1), (0, 1)], DuplicateEdgeError,
+    pytest.param(3, [(0, 1), (0, 1)], GraphBuildError,
                  "duplicate edge (0,1)", id="duplicate"),
-    pytest.param(3, [(2, 0), (1, 2), (0, 2)], DuplicateEdgeError,
+    pytest.param(3, [(2, 0), (1, 2), (0, 2)], GraphBuildError,
                  "duplicate edge (0,2)", id="duplicate-later"),
-    pytest.param(3, [(0, 3)], VertexRangeError,
+    pytest.param(3, [(0, 3)], GraphBuildError,
                  "edge (0,3) out of range for n=3", id="range-high"),
-    pytest.param(3, [(-1, 2)], VertexRangeError,
+    pytest.param(3, [(-1, 2)], GraphBuildError,
                  "edge (-1,2) out of range for n=3", id="range-negative"),
-    pytest.param(-1, [], VertexRangeError, "negative vertex count -1",
+    pytest.param(-1, [], GraphBuildError, "negative vertex count -1",
                  id="negative-n"),
     # the first bad edge in input order decides
-    pytest.param(3, [(0, 5), (1, 1)], VertexRangeError,
+    pytest.param(3, [(0, 5), (1, 1)], GraphBuildError,
                  "edge (0,5) out of range for n=3", id="first-range"),
-    pytest.param(3, [(1, 1), (0, 5)], SelfLoopError,
+    pytest.param(3, [(1, 1), (0, 5)], GraphBuildError,
                  "self-loop at vertex 1", id="first-self-loop"),
-    pytest.param(3, [(0, 1), (1, 0), (2, 2)], DuplicateEdgeError,
+    pytest.param(3, [(0, 1), (1, 0), (2, 2)], GraphBuildError,
                  "duplicate edge (1,0)", id="first-duplicate"),
-    pytest.param(3, [(0, 1), (2, 2), (1, 0)], SelfLoopError,
+    pytest.param(3, [(0, 1), (2, 2), (1, 0)], GraphBuildError,
                  "self-loop at vertex 2", id="first-self-loop-before-duplicate"),
 ])
 @pytest.mark.parametrize("cls", [HybridGraph, BaselineGraph],
@@ -319,3 +314,12 @@ def test_restore_covers_every_undo_vector(cls):
             _random_edit(g, rng, edited)
         g.restore(s)
         assert {name: getattr(g, name) for name in names} == before
+
+
+@pytest.mark.parametrize("cls", [HybridGraph, AdditionGraph, ContractionGraph])
+def test_restore_rejects_a_snapshot_of_another_graph(cls):
+    # every mode reaches the plain guard through HybridGraph.restore
+    saved = cls(4, [(0, 1)]).snapshot()
+    g = cls(5, [(0, 1)])
+    with pytest.raises(AssertionError, match="snapshot from a different graph"):
+        g.restore(saved)

@@ -260,6 +260,25 @@ def test_empty_graph_solves():
         assert (res.answer, res.nodes, res.witness) == (0, 0, [])
 
 
+@pytest.mark.parametrize("repr_name", REPRS)
+def test_edges_as_an_iterator_solve_as_the_list(repr_name):
+    # a solver reads edges more than once: to build, and again to
+    # verify its witness
+    spec = gen_random_gnm(12, 30, 1)
+    ce, planted = gen_cluster_editing(12, 3, 3, 1)
+    for solve, inst, args in [
+        (solve_vc_opt, spec, ()),
+        (solve_vc_parm, spec, (6,)),
+        (solve_vc_parm, spec, (7,)),
+        (solve_ds_opt, spec, ()),
+        (solve_ce_parm, ce, (planted,)),
+    ]:
+        want = solve(inst.n, inst.edges, *args, repr_name=repr_name)
+        got = solve(inst.n, iter(inst.edges), *args, repr_name=repr_name)
+        assert ((got.answer, got.nodes, got.witness)
+                == (want.answer, want.nodes, want.witness)), (solve, args)
+
+
 @pytest.mark.parametrize("seconds", [float("nan"), -1])
 def test_bad_timeout_raises(seconds):
     with pytest.raises(ValueError, match="timeout"):
