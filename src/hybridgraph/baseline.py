@@ -15,12 +15,12 @@ back at their build size whenever the log is empty.
 
 The solver-facing surface matches the hybrid classes: is_adjacent,
 neighbors, degree, active_vertices, delete_edge, delete_vertex,
-add_edge, max_degree_vertex, snapshot/restore.  Activity is the
-hybrid's sparse set (``vlist`` / ``idxlist`` / ``n_c``, Briggs &
-Torczon 1993), queried by ``HybridGraph``'s own bodies, so whole-graph
-scans cost O(active) here too and the two representations differ only
-in adjacency and undo.  Undo is last-in, first-out, so a deleted vertex
-is back at ``vlist[n_c]`` when its record is undone: ``n_c += 1``.
+add_edge, snapshot/restore.  Activity is the hybrid's sparse set
+(``vlist`` / ``idxlist`` / ``n_c``, Briggs & Torczon 1993), queried by
+``HybridGraph``'s own bodies, so whole-graph scans cost O(active) here
+too and the two representations differ only in adjacency and undo.
+Undo is last-in, first-out, so a deleted vertex is back at
+``vlist[n_c]`` when its record is undone: ``n_c += 1``.
 """
 
 from .core import GraphBuildError, HybridGraph
@@ -123,7 +123,6 @@ class BaselineGraph:
     active_vertices = HybridGraph.active_vertices
     active_count = HybridGraph.active_count
     is_active = HybridGraph.is_active
-    max_degree_vertex = HybridGraph.max_degree_vertex
     _retire = HybridGraph._retire
 
     # -- chain surgery ------------------------------------------------

@@ -2,15 +2,14 @@
 
 Every vertex carries a color (search-local ``vcolor``); initially color
 ids equal vertex ids and every color is a singleton.  The public vertex
-API means the quotient graph, whose vertices are the active colors:
-``active_vertices``, ``degree``, ``neighbors``, ``is_adjacent``,
-``max_degree_vertex`` and ``delete_vertex`` all take and return colors,
-so a search written against the vertex API runs here unchanged and
-``contract`` is one more edit it can make.  ``vlist`` / ``idxlist``
-track the active colors.  One more search-local vector, ``cc[c]``,
-counts the members of color c and is 0 exactly for retired colors.  The global table ``csl[c]`` lists c's members in its
-first ``cc[c]`` slots, with the same stale-tail convention as ``al``; a
-color's id is always its first member.
+API means the quotient graph, whose vertices are the active colors
+(tracked by ``vlist`` / ``idxlist``): ``active_vertices``, ``degree``,
+``neighbors``, ``is_adjacent`` and ``delete_vertex`` take and return
+colors, so a search written against it runs here unchanged and
+``contract`` is one more edit it can make.  The search-local ``cc[c]``
+counts c's members and is 0 exactly for retired colors; c's own global
+list ``csl[c]``, ``[c]`` at first, holds them in its first ``cc[c]``
+slots, with a stale tail as in ``al``.  A color's id is its first member.
 
 The central invariant: between any two active colors at most one live
 member-level edge exists, and none inside a color.  ``contract``
@@ -18,16 +17,14 @@ maintains it by deleting the connector edge and, for every color
 adjacent to both sides, one of the two redundant member edges.  With
 that invariant a color's degree is the sum of its members' ``deg``, and
 listing a color's neighbor colors is a plain scan of its members' live
-prefixes with no dedup pass.  ``HybridGraph.max_degree_vertex`` reads
-``degree`` and so answers over colors without an override.
+prefixes with no dedup pass.
 
-Undo is unchanged: the color vectors are search-local and ``csl``
-appends land past the restored ``cc`` prefix, so ``restore()`` copies
+Undo is unchanged: the color vectors are search-local and ``contract``
+cuts a stale ``csl`` tail before it appends, so ``restore()`` copies
 back ``deg``, ``n_c``, ``vcolor`` and ``cc`` and nothing else.
 
-Only ``delete_edge`` stays member-level: it is the plain body and takes
-the endpoints of a live member edge.  Member-level queries go through
-the base class (``HybridGraph.neighbors(g, x)``) or ``deg``.
+Only ``delete_edge`` stays member-level: the plain body, on a live
+member edge.  Member queries use ``HybridGraph.neighbors(g, x)`` or ``deg``.
 """
 
 from .core import HybridGraph
@@ -38,10 +35,7 @@ class ContractionGraph(HybridGraph):
 
     def __init__(self, n, edges):
         super().__init__(n, edges)
-        csl = [[-1] * n for _ in range(n)]
-        for v in range(n):
-            csl[v][0] = v
-        self.csl = csl
+        self.csl = [[v] for v in range(n)]
         self.vcolor = list(range(n))
         self.cc = [1] * n
         # scratch marks, cleared lazily by bumping the generation stamp
@@ -122,12 +116,13 @@ class ContractionGraph(HybridGraph):
                 else:
                     stamp[w] = gen
         assert connectors == 1, f"colors {cu},{cv} connected by {connectors} edges"
-        # recolor absorbed members and append them to the survivor's list
+        # recolor absorbed members, append them past the survivor's prefix
         base = cc[cu]
+        del members_u[base:]
         for idx in range(cc[cv]):
             b = members_v[idx]
             vc[b] = cu
-            members_u[base + idx] = b
+            members_u.append(b)
         cc[cu] = base + cc[cv]
         cc[cv] = 0
         self._retire(cv)

@@ -25,10 +25,6 @@ Restoration has set semantics: the live neighborhood contents come
 back exactly, but their order inside the prefix may differ from before
 the burst.
 
-The whole-graph scan ``max_degree_vertex`` reads each active vertex
-through ``degree``, so each mode defines what a vertex's degree is once
-and the scan follows.
-
 Contract violations (deleting a non-adjacent pair, deleting an
 inactive vertex) are guarded by ``assert``.  The CLI, ``hybridgraph
 bench`` and ``searchbench/run.py`` run with asserts on, so the guards
@@ -99,10 +95,6 @@ class HybridGraph:
 
     def is_active(self, v):
         return self.idxlist[v] < self.n_c
-
-    def max_degree_vertex(self):
-        """Active vertex of maximum degree, lowest id on ties, or None."""
-        return max(sorted(self.active_vertices()), key=self.degree, default=None)
 
     # -- mutations ----------------------------------------------------
 

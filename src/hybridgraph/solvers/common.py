@@ -43,7 +43,7 @@ class Search:
     so a decision search that succeeds keeps its witness and an
     optimization search, whose ``expand`` returns None, always rolls
     back.  ``timeout`` is None or seconds on the monotonic clock; the
-    deadline is polled at every node."""
+    deadline is polled at every node and at every greedy step."""
 
     def __init__(self, g, timeout):
         if timeout is not None and not timeout >= 0:  # also rejects NaN
@@ -65,6 +65,11 @@ class Search:
         if not found:
             del self.trail[mark:]
         return found
+
+    def poll(self):
+        """The deadline test that ``node`` inlines, for greedy loops."""
+        if self.t_end is not None and time.monotonic() > self.t_end:
+            raise SolveTimeout
 
     def result(self, problem, n, answer, witness, wall_ms, repr_name, **kw):
         counters = getattr(self.g, "counters", None)

@@ -76,6 +76,7 @@ class _CoverSearch(Search):
         snap = g.snapshot()
         left, _, _, pick, _ = self._scan()
         while left:
+            self.poll()
             self._include(pick)
             left, _, _, pick, _ = self._scan()
         g.restore(snap)

@@ -32,6 +32,8 @@ Every decision is made in canonical order (lowest id wins ties), so
 node counts are identical across representations.
 """
 
+import heapq
+
 from .common import Search, build_representation, timed
 from .verify import verify_vc
 
@@ -60,7 +62,7 @@ def _reduce(g, trail, k=None, fold=False):
     rule can touch (degree at least 2, or 3 with ``fold``, and at most
     the budget) takes the fast path, which adds its degree to the sum
     and keeps the first vertex of strictly larger degree; ids ascend,
-    so that is ``max_degree_vertex``'s lowest-id tie break.  Every
+    so the lowest id wins ties, as in ``greedy_cover``.  Every
     other vertex of a completed scan had degree 0 and is gone, so the
     sum is twice the edge count.  In contraction mode ``degree`` is the
     color degree, so all of this holds over colors."""
@@ -127,21 +129,26 @@ def _unfold(trail):
 
 
 class _OptSearch(Search):
-    def __init__(self, g, timeout):
-        super().__init__(g, timeout)
-        self.best = None
+    best = None   # the incumbent cover, seeded by ``run``
 
     def greedy_cover(self):
-        """Take a maximum-degree vertex (lowest id on ties) until the
-        top degree is 0; one degree scan per taken vertex."""
+        """Take a maximum-degree vertex, lowest id on ties, until the top
+        degree is 0, off a lazy max-heap of ``(-degree, v)``: degrees only
+        fall, so the first top whose degree is current is the maximum."""
         g = self.g
         snap = g.snapshot()
+        heap = [(-g.degree(v), v) for v in g.active_vertices()]
+        heapq.heapify(heap)
         cover = []
-        v = g.max_degree_vertex()
-        while v is not None and g.degree(v):
-            cover.append(v)
-            g.delete_vertex(v)
-            v = g.max_degree_vertex()
+        while heap and heap[0][0]:
+            self.poll()
+            d, v = heap[0]
+            now = -g.degree(v)
+            if now == d:
+                cover.append(heapq.heappop(heap)[1])
+                g.delete_vertex(v)
+            else:   # stale: push it down to its current degree
+                heapq.heapreplace(heap, (now, v))
         g.restore(snap)
         return cover
 

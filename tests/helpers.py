@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite: small named graphs, a local
 G(n,m) sampler that does not depend on the package's generators,
 member-level views of a ``ContractionGraph``'s colors, the live edge
-count of any representation, and a DIMACS writer for tests that read
-instance files."""
+count and the maximum-degree vertex of any representation, and a DIMACS
+writer for tests that read instance files."""
 
 import random
 from itertools import combinations
@@ -82,6 +82,14 @@ def edge_count(g):
     """Live edges of g: half its active vertices' degree sum (in the
     contraction mode, edges between active colors)."""
     return sum(map(g.degree, g.active_vertices())) // 2
+
+
+def max_degree_vertex(g):
+    """Active vertex of g of maximum degree, lowest id on ties, or None
+    (in the contraction mode, over colors): the body of the graph
+    method the greedy cover called once per step before it kept a
+    heap."""
+    return max(sorted(g.active_vertices()), key=g.degree, default=None)
 
 
 def format_dimacs(spec):

@@ -10,7 +10,7 @@ from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import HybridGraph
 
 from helpers import (G8_EDGES, G8_N, color_members, color_of, color_size,
-                     edge_count, gnm)
+                     edge_count, gnm, max_degree_vertex)
 from mirrors import QuotientMirror
 
 
@@ -42,8 +42,6 @@ def check_quotient(g, mirror):
                     seen.add(key)
     assert seen == mirror.qedges
     assert edge_count(g) == len(mirror.qedges)
-    top = max(sorted(mirror.members), key=mirror.degree, default=None)
-    assert g.max_degree_vertex() == top
 
 
 def test_initial_state_is_discrete_partition():
@@ -94,7 +92,7 @@ def test_vertex_api_answers_over_colors():
     assert sorted(g.active_vertices()) == [0, 1, 3, 4, 5]
     assert g.degree(1) == 3
     assert sorted(g.neighbors(1)) == [0, 3, 4]
-    assert g.max_degree_vertex() == 1
+    assert max_degree_vertex(g) == 1
     assert g.is_adjacent(1, 3) and g.is_adjacent(4, 1)
     assert not g.is_adjacent(1, 5) and not g.is_adjacent(3, 4)
     g.delete_vertex(1)  # removes both members and their edges
@@ -102,7 +100,7 @@ def test_vertex_api_answers_over_colors():
     assert [g.degree(c) for c in (0, 3, 4, 5)] == [1, 1, 0, 2]
     assert sorted(g.neighbors(5)) == [0, 3]
     assert edge_count(g) == 2
-    assert g.max_degree_vertex() == 5
+    assert max_degree_vertex(g) == 5
 
 
 def test_contract_requires_adjacent_distinct_colors():
@@ -145,8 +143,40 @@ def test_snapshot_restores_colors_and_degrees():
     assert set(g.neighbors(3)) == {0, 2, 5, 7}
     assert g.degree(3) == 4
     assert color_of(g, 7) == 7
-    # member lists grow monotonically; stale tail entries are masked by cc
+    # entries past a color's count are stale and masked by cc
     assert g.csl[3][:2] == [3, 6]
+
+
+def test_member_lists_hold_n_cells_and_none_grows_past_n():
+    """A fresh graph holds one member cell per vertex.  ``contract``
+    cuts the survivor's stale tail before it appends, so no list grows
+    past n however often a path contracts into the same color and is
+    restored, and each active color's live prefix is exactly the
+    vertices of that color."""
+    rng = random.Random(4097)
+    for trial in range(40):
+        n = rng.randrange(2, 14)
+        m = rng.randrange(n - 1, n * (n - 1) // 2 + 1)
+        _, edges = gnm(n, m, rng.randrange(1 << 30))
+        g = ContractionGraph(n, edges)
+        assert [len(row) for row in g.csl] == [1] * n
+        stack = [g.snapshot()]
+        for _ in range(200):
+            r = rng.random()
+            colors = sorted(c for c in g.active_vertices() if g.degree(c))
+            if r < 0.15:
+                stack.append(g.snapshot())
+            elif r < 0.4:
+                g.restore(stack.pop() if len(stack) > 1 else stack[0])
+            elif r < 0.9 and colors:
+                c = rng.choice(colors)
+                g.contract(c, rng.choice(sorted(g.neighbors(c))))
+            elif g.active_count():
+                g.delete_vertex(rng.choice(sorted(g.active_vertices())))
+            assert max(map(len, g.csl)) <= n
+            for c in g.active_vertices():
+                assert sorted(color_members(g, c)) == \
+                    [v for v in range(n) if color_of(g, v) == c]
 
 
 def test_randomized_against_quotient_mirror():

@@ -14,7 +14,7 @@ from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import GraphBuildError, HybridGraph
 
 from helpers import (G8_AL, G8_DEG, G8_EDGES, G8_N, color_members,
-                     edge_count, gnm)
+                     edge_count, gnm, max_degree_vertex)
 from mirrors import EdgeSetMirror
 
 
@@ -111,23 +111,9 @@ def test_restore_is_set_semantics():
     check_invariants(g)
 
 
-def test_max_degree_vertex_tie_breaks_low_id():
-    g = HybridGraph(G8_N, G8_EDGES)
-    assert g.max_degree_vertex() == 2  # deg 4, beats 5 on id
-    g.delete_vertex(2)
-    assert g.max_degree_vertex() == 4  # 4,5,6,7 all reach deg 3
-    h = HybridGraph(3, [])
-    assert h.max_degree_vertex() == 0
-    h.delete_vertex(0)
-    h.delete_vertex(1)
-    h.delete_vertex(2)
-    assert h.max_degree_vertex() is None
-
-
 def test_empty_and_tiny_graphs():
     g = HybridGraph(0, [])
     assert g.active_vertices() == []
-    assert g.max_degree_vertex() is None
     s = g.snapshot()
     g.restore(s)
     g1 = HybridGraph(1, [])
@@ -233,7 +219,7 @@ def test_identical_scripts_are_bit_deterministic():
             elif r < 0.25 and snaps:
                 g.restore(snaps.pop())
             elif r < 0.7 and edge_count(g):
-                v = g.max_degree_vertex()
+                v = max_degree_vertex(g)
                 g.delete_edge(v, g.neighbors(v)[0])
             elif g.active_count():
                 g.delete_vertex(g.active_vertices()[-1])

@@ -126,8 +126,7 @@ def _random_op(rng, g, mode, edited):
         return "delete_edge", rng.choice(live)
     v = rng.randrange(g.n)
     return rng.choice((("is_adjacent", (v, rng.randrange(g.n))),
-                       ("degree", (v,)), ("max_degree_vertex", ()),
-                       ("active_vertices", ())))
+                       ("degree", (v,)), ("active_vertices", ())))
 
 
 @pytest.mark.parametrize("repr_name, mode", [
@@ -264,8 +263,6 @@ def test_baseline_activity_scans_cost_active_count():
         return c.accesses(op) - before
 
     assert cost("active_vertices") == n_c
-    assert cost("max_degree_vertex") == 2 * n_c   # vlist and deg per vertex
-    assert g.max_degree_vertex() in g.active_vertices()
 
 
 def test_counter_dict_roundtrip():

@@ -4,6 +4,7 @@ representations, with witness validity and node-count agreement."""
 import random
 import sys
 import time
+from functools import partial
 
 import pytest
 
@@ -19,6 +20,10 @@ from hybridgraph.solvers import (
 )
 
 from hybridgraph.instances import gen_cluster_editing, gen_random_gnm
+from hybridgraph.solvers.cluster_editing import _EditSearch
+from hybridgraph.solvers.common import build_representation
+from hybridgraph.solvers.dominating_set import _CoverSearch, cover_edges
+from hybridgraph.solvers.vertex_cover import _OptSearch, _ParmSearch
 
 from helpers import G8_EDGES, G8_N, clique, cycle, gnm, path, petersen, star
 from oracle import brute_ce, brute_ds, brute_vc
@@ -326,10 +331,43 @@ def test_worked_example_all_problems():
     assert solve_ce_parm(G8_N, G8_EDGES, opt - 1).answer is False
 
 
-def test_timeout_raises():
-    n, edges = gnm(60, 700, 5)
+# problem: G(n, m), and the search its solve_* function runs on graph
+# g, started as the solve starts it, with a zero timeout
+TIMEOUT_CASES = {
+    "vc": (1500, 2250, lambda g: _OptSearch(g, 0.0).run),
+    "vc-parm": (1500, 2250, lambda g: partial(
+        _ParmSearch(g, 0.0, False).node, 700, ())),
+    "vc-parm-fold": (1500, 2250, lambda g: partial(
+        _ParmSearch(g, 0.0, True).node, 700, ())),
+    "ds": (300, 450, lambda g: _CoverSearch(g, 0.0, g.n // 2).run),
+    "ce": (40, 200, lambda g: partial(
+        _EditSearch(g, 0.0).node, 104, frozenset())),
+}
+TIMEOUT_MODES = {"vc-parm-fold": "contraction", "ce": "addition"}
+
+
+@pytest.mark.parametrize("problem, repr_name", [
+    *((p, r) for p in ("vc", "vc-parm", "ds", "ce") for r in REPRS),
+    ("vc-parm-fold", "hybrid")])
+def test_timeout_raises(problem, repr_name):
+    """With a zero timeout every solve raises SolveTimeout before it
+    has touched 4 cells per vertex and edge of the graph it searches.
+    The decision searches poll at their root node, before any cell.
+    The greedy loops that seed the optimizers poll at every step, so
+    only their set-up runs: a hybrid snapshot (2 cells per vertex) and
+    one pass that reads each active vertex and its degree (2 more),
+    the heap build or the first DS scan.  The bound leaves room for one
+    step more; a greedy that never polls runs to the end."""
+    n, m, start = TIMEOUT_CASES[problem]
+    edges = gen_random_gnm(n, m, 5).edges
+    if problem == "ds":
+        edges = cover_edges(n, edges)
+        n *= 2
+    mode = TIMEOUT_MODES.get(problem, "plain")
+    g = build_representation(repr_name, mode, n, edges, instrumented=True)
     with pytest.raises(SolveTimeout):
-        solve_vc_opt(n, edges, timeout=0.0)
+        start(g)()
+    assert sum(g.counters.cells) <= 4 * (n + len(edges))
 
 
 def test_solvers_restore_recursion_limit():

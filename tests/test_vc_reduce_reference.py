@@ -4,8 +4,9 @@
 also sums the degrees and keeps the maximum-degree vertex.  The
 reference below is the reduction loop it replaces, kept verbatim,
 followed by the two whole-graph passes the search used to make after
-it: the edge count (``edge_count`` from helpers, the body of the graph
-method it called) and ``max_degree_vertex()``.  Random
+it: the edge count and the maximum-degree vertex (``edge_count`` and
+``max_degree_vertex`` from helpers, the bodies of the graph methods it
+called).  Random
 deletion, contraction and snapshot/restore sequences must give the same
 result, trail and active set from both, with and without a budget, on
 plain hybrid, alist, and contraction with folding.  The budgeted
@@ -14,16 +15,19 @@ need`` for every ``need``, against the full bound kept verbatim too,
 and answer as the budgeted bound did before it settled a node from the
 active-vertex count, without a matching.  ``greedy_cover``, which seeds
 the optimizer's incumbent, must take the same vertices as its two-scan
-body, kept verbatim, with one maximum-degree scan per taken vertex."""
+body, kept verbatim, on small random graphs and on sparse G(n, 1.5n),
+while its lazy heap reads at most one degree per vertex, per lost edge
+and per taken vertex."""
 
 import random
 
 import pytest
 
+from hybridgraph.instances import gen_random_gnm
 from hybridgraph.solvers.common import build_representation
 from hybridgraph.solvers.vertex_cover import _delete, _OptSearch, _reduce
 
-from helpers import edge_count, gnm
+from helpers import G8_EDGES, G8_N, edge_count, gnm, max_degree_vertex
 
 
 def ref_reduce(g, trail, k=None, fold=False):
@@ -66,7 +70,7 @@ def ref_node(g, trail, k, fold):
     left = ref_reduce(g, trail, k, fold)
     if k is not None and left is None:
         return None
-    return left, edge_count(g), g.max_degree_vertex()
+    return left, edge_count(g), max_degree_vertex(g)
 
 
 def ref_matching(g):
@@ -131,7 +135,7 @@ def test_one_scan_matches_reduce_then_count_then_max(repr_name, mode, fold):
         for _ in range(rng.randrange(1, 12)):
             _random_step(a, b, stack, fold, rng)
             assert _state(a) == _state(b)
-            top = a.max_degree_vertex()
+            top = max_degree_vertex(a)
             dmax = 0 if top is None else a.degree(top)
             budgets = range(dmax + 3)
             if not fold:   # a fold spends budget, so it always has one
@@ -171,7 +175,7 @@ def test_budgeted_bound_says_whether_the_full_bound_is_below_need(repr_name):
             m = edge_count(g)
             if m == 0:
                 break
-            delta = g.degree(g.max_degree_vertex())
+            delta = g.degree(max_degree_vertex(g))
             by_degree = -(-m // delta)
             matching = ref_matching(g)
             for need in range(1, m + 2):
@@ -231,7 +235,7 @@ def test_count_settles_the_bound_without_a_matching(repr_name):
             m = edge_count(ref)
             if m == 0:
                 break
-            delta = ref.degree(ref.max_degree_vertex())
+            delta = ref.degree(max_degree_vertex(ref))
             n_c = ref.active_count()
             matching = ref_matching(ref)
             for need in range(1, m + 2):
@@ -261,7 +265,7 @@ def ref_greedy_cover(self):
     snap = g.snapshot()
     cover = []
     while edge_count(g):
-        v = g.max_degree_vertex()
+        v = max_degree_vertex(g)
         cover.append(v)
         g.delete_vertex(v)
     g.restore(snap)
@@ -272,8 +276,10 @@ def ref_greedy_cover(self):
 def test_greedy_cover_matches_the_two_scan_loop(repr_name):
     """Same cover as the reference on random G(n,m), also after random
     deletions; the graph is left as it was; the cover is empty exactly
-    when no edge is left (``run`` relies on that); and each step makes
-    one ``max_degree_vertex`` scan."""
+    when no edge is left (``run`` relies on that); and the greedy reads
+    at most n + m + |cover| degrees: one per vertex to build the heap,
+    one per take, and at most one re-read per edge a vertex loses.  A
+    maximum-degree scan per step reads about n per step instead."""
     rng = random.Random(4200 + (repr_name == "alist"))
     empty = 0
     for trial in range(150):
@@ -287,12 +293,13 @@ def test_greedy_cover_matches_the_two_scan_loop(repr_name):
         calls = g.counters.calls
         for _ in range(rng.randrange(1, 4)):
             before = _state(g)
-            scans = calls.get("max_degree_vertex", 0)
+            reads = calls.get("degree", 0)
             cover = search.greedy_cover()
+            reads = calls.get("degree", 0) - reads
             assert cover == ref_greedy_cover(_OptSearch(ref, None))
             assert _state(g) == before
             assert (cover == []) == (edge_count(ref) == 0)
-            assert calls.get("max_degree_vertex", 0) - scans == len(cover) + 1
+            assert reads <= ref.active_count() + edge_count(ref) + len(cover)
             empty += cover == []
             if not ref.active_count():
                 break
@@ -300,3 +307,22 @@ def test_greedy_cover_matches_the_two_scan_loop(repr_name):
             g.delete_vertex(v)
             ref.delete_vertex(v)
     assert empty > 10, empty
+
+
+@pytest.mark.parametrize("repr_name", ("hybrid", "alist"))
+@pytest.mark.parametrize("n", (400, 800, 1500))
+def test_greedy_cover_matches_the_reference_on_sparse_graphs(repr_name, n):
+    for seed in range(3):
+        spec = gen_random_gnm(n, 3 * n // 2, seed)
+        g = build_representation(repr_name, "plain", spec.n, spec.edges)
+        search = _OptSearch(g, None)
+        assert search.greedy_cover() == ref_greedy_cover(search)
+
+
+@pytest.mark.parametrize("repr_name", ("hybrid", "alist"))
+def test_greedy_cover_takes_the_lowest_id_on_ties(repr_name):
+    # degree 4: 2 beats 5; then 4, 5, 6 and 7 have degree 3, and 4
+    # wins; then 6 alone has degree 3 and 0 alone degree 2; then 5
+    # beats 7 at degree 1
+    g = build_representation(repr_name, "plain", G8_N, G8_EDGES)
+    assert _OptSearch(g, None).greedy_cover() == [2, 4, 6, 0, 5]
