@@ -16,10 +16,15 @@ packing whose size lower bounds the remaining budget.  The scan meets
 each conflict once, from its lower end (x < z), so a full scan asks
 ``is_adjacent`` once per two-edge path x-y-z.  It stops as soon as the
 packing exceeds the budget, which fixes the node's answer, so a node
-that is cut off asks fewer.
-Branching edits one of the triple's three pairs; a branch whose pair
-is frozen is skipped, and a conflict with all three pairs frozen is
-unresolvable.
+that is cut off asks fewer.  A scan that completes also counts, for
+each of the triple's three pairs, the conflicts that contain it, from
+the rows alone.
+Branching edits one of the triple's three pairs, the pair in most
+conflicts first; ties keep the order del xy, del yz, add xz.  A branch
+whose pair is frozen is skipped, and a conflict with all three pairs
+frozen is unresolvable.  Once a branch fails, its pair is frozen for
+the branches after it: every solution that edits the pair lies in the
+subtree that just failed.
 """
 
 from .common import Search, build_representation, timed
@@ -53,13 +58,23 @@ class _EditSearch(Search):
         return nbrs
 
     def _first_conflict_and_bound(self, nbrs, k):
-        """Lexicographically first conflict triple, plus the size of a
-        greedy packing of conflicts sharing no editable pair, over the
-        neighbourhood rows ``nbrs`` (sorted here, in place).  The scan
-        stops once the packing exceeds the budget ``k``: the first
-        conflict is found by then, and the node is cut off whatever the
-        rest of the packing holds, so the size returned is ``k + 1``.
-        A packing that never exceeds ``k`` is returned whole.
+        """Lexicographically first conflict triple, the size of a
+        greedy packing of conflicts sharing no editable pair, and the
+        triple's pair counts, over the neighbourhood rows ``nbrs``
+        (sorted here, in place).  The scan stops once the packing
+        exceeds the budget ``k``: the first conflict is found by then,
+        and the node is cut off whatever the rest of the packing holds,
+        so the size returned is ``k + 1`` and the counts are None.  A
+        packing that never exceeds ``k`` is returned whole.
+
+        For a first conflict (x, y, z) the counts are the numbers of
+        conflict paths that contain xy, yz and xz, each path counted
+        once.  They come from the rows, with no ``is_adjacent`` call:
+        a path through the edge xy ends outside the other end's closed
+        neighbourhood, so xy lies in |N(x) ^ N(y)| - 2 of them (the
+        symmetric difference holds x and y themselves), and the
+        non-edge xz lies in one per common neighbour.  Counts are None
+        too when there is no conflict.
 
         A conflict (x, y, z) is the same path as (z, y, x), so it is
         met once, from its lower end x < z.  That loses nothing against
@@ -90,29 +105,44 @@ class _EditSearch(Search):
                         used.add(pxz)
                         packed += 1
                         if packed > k:
-                            return first, packed
-        return first, packed
+                            return first, packed, None
+        if first is None:
+            return None, packed, None
+        x, y, z = first
+        nx, ny, nz = set(nbrs[x]), set(nbrs[y]), set(nbrs[z])
+        return first, packed, (len(nx ^ ny) - 2, len(ny ^ nz) - 2,
+                               len(nx & nz))
 
     def expand(self, k, frozen, edit=None):
         """Branch edit: ``edit`` is ("del" | "add", a, b), already
-        counted in ``k`` and ``frozen``."""
+        counted in ``k`` and ``frozen``.
+
+        The three edits of the first conflict (x, y, z) are tried in
+        descending order of the conflicts their pairs are in; ties keep
+        the order del xy, del yz, add xz.  A branch that fails leaves
+        its pair frozen for the branches after it: it searched every
+        solution that edits the pair, so those that remain leave it
+        alone."""
         g = self.g
         if edit:
             op, a, b = edit
             self.trail.append((op, min(a, b), max(a, b)))
             (g.delete_edge if op == "del" else g.add_edge)(a, b)
-        triple, bound = self._first_conflict_and_bound(
+        triple, bound, counts = self._first_conflict_and_bound(
             self._drop_clique_components(), k)
         if triple is None:
             return True
         if bound > k:
             return False
         x, y, z = triple
-        for op, a, b in (("del", x, y), ("del", y, z), ("add", x, z)):
+        edits = (("del", x, y), ("del", y, z), ("add", x, z))
+        for i in sorted(range(3), key=counts.__getitem__, reverse=True):
+            op, a, b = edits[i]
             pair = (min(a, b), max(a, b))
-            if pair not in frozen and \
-                    self.node(k - 1, frozen | {pair}, (op, a, b)):
-                return True
+            if pair not in frozen:
+                frozen = frozen | {pair}
+                if self.node(k - 1, frozen, (op, a, b)):
+                    return True
         return False
 
 

@@ -9,13 +9,20 @@ search keeps and with vertices deleted a whole component at a time,
 must give the same (first conflict, packing size) from
 both after every step, on both representations.  With a budget k the
 scan stops once its packing exceeds k, so it must give the reference's
-first conflict and min(packing size, k + 1)."""
+first conflict and min(packing size, k + 1).
+
+A scan that completes also returns, for each pair of the first
+conflict, the number of conflicts that contain it; the search branches
+on those pairs in descending count order.  The reference for the
+counts enumerates the conflict paths as the reference scan does and
+counts each once, from x < z."""
 
 import math
 import random
 
 import pytest
 
+from hybridgraph.solvers import solve_ce_parm
 from hybridgraph.solvers.cluster_editing import _EditSearch
 from hybridgraph.solvers.common import REPR_NAMES, build_representation
 
@@ -43,6 +50,27 @@ def ref_first_conflict_and_bound(g):
                     used.update(pairs)
                     packed += 1
     return first, packed
+
+
+def ref_pair_counts(g, first):
+    """Conflict paths containing xy, yz and xz of ``first``, each path
+    counted once; None when there is no conflict."""
+    if first is None:
+        return None
+    x0, y0, z0 = first
+    want = ((min(x0, y0), max(x0, y0)), (min(y0, z0), max(y0, z0)),
+            (min(x0, z0), max(x0, z0)))
+    counts = [0, 0, 0]
+    for x in sorted(g.active_vertices()):
+        for y in sorted(g.neighbors(x)):
+            for z in sorted(g.neighbors(y)):
+                if z <= x or g.is_adjacent(x, z):
+                    continue
+                pairs = {(min(x, y), max(x, y)), (min(y, z), max(y, z)),
+                         (x, z)}
+                for i, p in enumerate(want):
+                    counts[i] += p in pairs
+    return tuple(counts)
 
 
 def _scan(g, k=math.inf):
@@ -90,7 +118,7 @@ def test_scan_matches_two_orientation_reference(repr_name):
                                  *gnm(n, m, rng.randrange(1 << 30)))
         frozen = set()
         stack = []
-        assert _scan(g) == ref_first_conflict_and_bound(g)
+        assert _scan(g)[:2] == ref_first_conflict_and_bound(g)
         for _ in range(rng.randrange(10, 40)):
             r = rng.random()
             if r < 0.15:
@@ -102,8 +130,9 @@ def test_scan_matches_two_orientation_reference(repr_name):
                 pass
             elif g.active_count():
                 _drop_component(g, rng)
-            first, packed = _scan(g)
+            first, packed, counts = _scan(g)
             assert (first, packed) == ref_first_conflict_and_bound(g)
+            assert counts == ref_pair_counts(g, first)
             firsts += first is not None
             packs += packed > 1
     # the sequences reach graphs with conflicts and multi-conflict packings
@@ -146,13 +175,28 @@ def test_budgeted_scan_stops_past_the_budget(repr_name):
                 _drop_component(g, rng)
             ref_first, ref_packed = ref_first_conflict_and_bound(g)
             before = g.counters.calls.get("is_adjacent", 0)
-            assert _scan(g) == (ref_first, ref_packed)
+            assert _scan(g)[:2] == (ref_first, ref_packed)
             full = g.counters.calls.get("is_adjacent", 0) - before
             for k in range(5):
                 before = g.counters.calls.get("is_adjacent", 0)
-                assert _scan(g, k) == (ref_first, min(ref_packed, k + 1))
+                assert _scan(g, k)[:2] == (ref_first, min(ref_packed, k + 1))
                 asked = g.counters.calls.get("is_adjacent", 0) - before
                 assert asked <= full
                 cut += asked < full
     # some budgets do cut a scan short
     assert cut > 100
+
+
+@pytest.mark.parametrize("repr_name", REPR_NAMES)
+def test_tied_counts_keep_the_old_branch_order(repr_name):
+    # a 4-clique 0..3 and vertex 4 joined to 1 and 2: the first conflict
+    # is 0-1-4, and 14 and 04 each lie in two conflicts against 01's
+    # one.  Deleting 14 and adding 04 both lead to 2-edit solutions;
+    # the tie keeps del yz ahead of add xz, so the witness starts with
+    # the deletion.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+    g = build_representation(repr_name, "addition", 5, edges)
+    assert _scan(g) == ((0, 1, 4), 2, (1, 2, 2))
+    res = solve_ce_parm(5, edges, 2, repr_name=repr_name)
+    assert res.witness == [("del", 1, 4), ("del", 2, 4)]
+    assert res.nodes == 3

@@ -46,15 +46,15 @@ DS = [
 
 # gen_cluster_editing(12, 3, 5, seed), planted budget 5, at k = 5 and 4
 CE = [
-    (2, 5, (True, 8, [("del", 0, 8), ("del", 0, 11), ("del", 0, 1),
-                      ("del", 0, 3), ("add", 5, 7)])),
-    (2, 4, (True, 8, [("del", 0, 8), ("del", 0, 11), ("del", 0, 2),
+    (2, 5, (True, 5, [("del", 0, 8), ("del", 0, 11), ("del", 0, 2),
                       ("add", 5, 7)])),
-    (7, 5, (True, 8, [("del", 0, 7), ("del", 0, 10), ("del", 1, 10),
+    (2, 4, (True, 5, [("del", 0, 8), ("del", 0, 11), ("del", 0, 2),
+                      ("add", 5, 7)])),
+    (7, 5, (True, 6, [("del", 0, 7), ("del", 0, 10), ("del", 1, 10),
                       ("del", 5, 11), ("del", 4, 8)])),
     (7, 4, (False, 1, None)),
-    (9, 5, (True, 11, [("del", 1, 8), ("del", 2, 5), ("del", 3, 8),
-                       ("del", 5, 8), ("del", 7, 11)])),
+    (9, 5, (True, 6, [("del", 1, 8), ("del", 2, 5), ("del", 3, 8),
+                      ("del", 5, 8), ("del", 7, 11)])),
     (9, 4, (False, 1, None)),
 ]
 

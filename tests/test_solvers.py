@@ -223,6 +223,52 @@ def test_ce_matches_oracle():
                 assert verify_ce(n, edges, res.witness, k)
 
 
+def _ce_oracle_cases():
+    """(n, edges, k) up to the oracle's limits, n <= 12 and k <= 8:
+    G(n, m) for n = 9..12 at every k, and gen_cluster_editing(12, 3,
+    flips, seed) at the planted budget and one below."""
+    rng = random.Random(7121)
+    for trial in range(150):
+        n = rng.randrange(9, 13)
+        m = rng.randrange(0, n * (n - 1) // 2 + 1)
+        n, edges = gnm(n, m, rng.randrange(1 << 30))
+        for k in range(9):
+            yield n, edges, k
+    for flips in range(1, 9):
+        for seed in range(6):
+            spec, planted = gen_cluster_editing(12, 3, flips, seed)
+            for k in (planted, planted - 1):
+                yield spec.n, spec.edges, k
+
+
+@pytest.mark.parametrize("repr_name", REPRS)
+def test_ce_matches_oracle_to_its_limits(repr_name):
+    # the branch order and the freeze of failed pairs change which
+    # subtrees run; every answer must still be the oracle's
+    yes = no = 0
+    for n, edges, k in _ce_oracle_cases():
+        want = brute_ce(n, edges, k)
+        res = solve_ce_parm(n, edges, k, repr_name=repr_name)
+        assert res.answer == want, (n, edges, k)
+        if want:
+            assert verify_ce(n, edges, res.witness, k)
+        yes += want
+        no += not want
+    assert yes > 30 and no > 30
+
+
+def test_ce_freezes_a_failed_pair_for_later_siblings():
+    # the star K_{1,4} needs three deletions.  At k = 2 the root's
+    # conflict is 1-0-2, branched as del 01 (4 nodes, fails), del 02 and
+    # add 12 (cut off at once).  Under del 02 the conflict 1-0-3 offers
+    # del 01, del 03 and add 13; 01 is frozen since its branch failed,
+    # so that subtree is 3 nodes, not 4
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4)]
+    for repr_name in REPRS:
+        res = solve_ce_parm(5, edges, 2, repr_name=repr_name)
+        assert (res.answer, res.nodes) == (False, 9)
+
+
 def test_ce_node_counts_match_across_reprs():
     rng = random.Random(90)
     for trial in range(8):
