@@ -1,17 +1,16 @@
 """Permanent-edge mode.
 
-Neighbor rows are padded to length n at build time so that edges added
-during the search can live in tail slots: the t-th addition at a vertex
-occupies slot n - t, growing downward, with the search-local ``ndeg``
-counting additions the way ``deg`` counts the live base prefix.  An
-added pair is permanent for the rest of its search path; only
-``restore()`` removes it (by rolling ``ndeg`` back, which abandons the
-tail slots in place).
-
-Because abandoned tail slots are never cleaned, the adjacency test has
-to defend against a slot being reused by a different later addition:
-after the range check it confirms the slot still names the queried
-vertex.  Four cell reads worst case.
+Edges added during the search live in per-vertex tails, apart from the
+base rows: the t-th addition at v is ``tail[v][t]``, and its index entry
+is ``n + t``, so an ``im`` value of n or more names a tail slot and
+never a base slot.  The search-local ``ndeg`` counts the live tail the
+way ``deg`` counts the live base prefix.  An added pair is permanent for
+the rest of its search path; only ``restore()`` removes it, by rolling
+``ndeg`` back and leaving the tail slots stale in place.  The next
+addition at that vertex cuts the stale tail before it appends, so a
+slot may come to hold a different partner: after the range check the
+adjacency test confirms the slot still names the queried vertex.  Four
+cell reads worst case.
 
 Base edges keep plain-mode behavior.  ``delete_edge`` works on live
 base edges only; added pairs must never be deleted (callers enforce
@@ -24,23 +23,20 @@ Caller discipline: each unordered pair may be edited (deleted or
 added) at most once per root-to-node search path.  Re-adding a pair
 whose base edge was deleted earlier on the same path would repoint the
 pair's index entries at tail slots and silently break restores to
-snapshots where the base edge was live.  Under the discipline a
-vertex's additions are distinct original non-neighbors, so the tail
-never grows past the padded area; ``add_edge`` asserts that bound as a
-backstop.
+snapshots where the base edge was live.  ``add_edge`` asserts that the
+pair's index entry names no base slot, which catches that re-add at
+the call that makes it.
 """
 
 from .core import HybridGraph
 
 
 class AdditionGraph(HybridGraph):
-    __slots__ = ("base_deg", "ndeg")
+    __slots__ = ("tail", "ndeg")
 
     def __init__(self, n, edges):
         super().__init__(n, edges)
-        self.base_deg = list(self.deg)
-        for row in self.al:
-            row.extend([-1] * (n - len(row)))  # -1 marks never-written slots
+        self.tail = [[] for _ in range(n)]
         self.ndeg = [0] * n
 
     def is_adjacent(self, u, v):
@@ -49,14 +45,14 @@ class AdditionGraph(HybridGraph):
             return False
         if i < self.deg[v]:
             return True
-        return self.n - 1 - i < self.ndeg[v] and self.al[v][i] == u
+        t = i - self.n
+        return 0 <= t < self.ndeg[v] and self.tail[v][t] == u
 
     def neighbors(self, v):
-        row = self.al[v]
-        out = row[: self.deg[v]]
+        out = self.al[v][: self.deg[v]]
         nd = self.ndeg[v]
         if nd:
-            out.extend(row[self.n - nd :])
+            out.extend(self.tail[v][:nd])
         return out
 
     def degree(self, v):
@@ -65,22 +61,24 @@ class AdditionGraph(HybridGraph):
     def add_edge(self, u, v):
         """Permanently add non-adjacent pair (u,v) on this search path."""
         n = self.n
+        im = self.im
         ndeg = self.ndeg
         assert u != v, "self-loop"
+        assert not -1 < im[u][v] < n, f"add_edge on base pair ({u},{v})"
         assert not AdditionGraph.is_adjacent(self, u, v), \
             f"add_edge on adjacent pair ({u},{v})"
-        # tail inside the padded area; holds iff each pair is edited at
-        # most once per path
-        assert ndeg[u] < n - self.base_deg[u], f"tail overflow at {u}"
-        assert ndeg[v] < n - self.base_deg[v], f"tail overflow at {v}"
-        slot = n - 1 - ndeg[u]
-        self.al[u][slot] = v
-        self.im[v][u] = slot
-        ndeg[u] += 1
-        slot = n - 1 - ndeg[v]
-        self.al[v][slot] = u
-        self.im[u][v] = slot
-        ndeg[v] += 1
+        t = ndeg[u]
+        row = self.tail[u]
+        del row[t:]  # cut the stale tail before appending
+        row.append(v)
+        im[v][u] = n + t
+        ndeg[u] = t + 1
+        t = ndeg[v]
+        row = self.tail[v]
+        del row[t:]
+        row.append(u)
+        im[u][v] = n + t
+        ndeg[v] = t + 1
 
     def snapshot(self):
         return HybridGraph.snapshot(self), self.ndeg.copy()

@@ -7,9 +7,10 @@ each index, slice and copy to one shared ``[reads, writes]`` tally:
 
 - both representations: the sparse active set ``vlist`` / ``idxlist``
   and ``deg``;
-- hybrid modes: the rows of ``al``, ``im`` and ``csl``, and the
-  search-local vectors ``ndeg``, ``vcolor`` and ``cc`` that the graph's
-  mode has;
+- hybrid modes: the rows of ``al`` and ``im``, the addition tail rows
+  ``tail``, the color member rows ``csl``, the contraction scratch
+  marks ``_stamp``, and the search-local vectors ``ndeg``, ``vcolor``
+  and ``cc`` that the graph's mode has;
 - baseline: ``nbr``, ``prv``, ``nxt`` and ``head``.
 
 Reads made by ``assert`` guards are counted too (``python -O`` drops
@@ -92,11 +93,11 @@ class Cells(list):
 def _count_cells(g, tally):
     """Swap the cell arrays of a built graph for counting ones; each
     representation and mode has only some of the names below."""
-    for name in ("al", "im", "csl"):
+    for name in ("al", "im", "tail", "csl"):
         rows = getattr(g, name, None)
         if rows is not None:
             rows[:] = [Cells(tally, row) for row in rows]
-    for name in ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc",
+    for name in ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc", "_stamp",
                  "nbr", "prv", "nxt", "head"):
         cells = getattr(g, name, None)
         if cells is not None:

@@ -1,11 +1,15 @@
 """Edge-addition mode: tail-slot placement, stale-slot defense after
-restore, randomized trials mixing deletions, additions, and undo."""
+restore, the edit-once guard, the space the mode adds, and randomized
+trials mixing deletions, additions, and undo."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from hybridgraph.addition import AdditionGraph
+from hybridgraph.core import HybridGraph
+from hybridgraph.instances import gen_random_gnm
 
 from helpers import (G8_AL, G8_DEG, G8_EDGES, G8_N, edge_count, gnm,
                      max_degree_vertex)
@@ -25,25 +29,27 @@ def check_against(g, mirror):
     assert edge_count(g) == len(mirror.edges)
 
 
-def test_rows_padded_and_base_tables_intact():
+def test_base_rows_keep_build_length_and_tails_start_empty():
     g = AdditionGraph(G8_N, G8_EDGES)
     for v in range(8):
-        assert len(g.al[v]) == 8
-        assert g.al[v][: G8_DEG[v]] == G8_AL[v]
+        assert g.al[v] == G8_AL[v]
+    assert g.tail == [[] for _ in range(8)]
     assert g.ndeg == [0] * 8
 
 
 def test_added_edge_lands_in_tail_slots():
     g = AdditionGraph(G8_N, G8_EDGES)
+    n = G8_N
     g.add_edge(2, 6)
-    assert g.al[2][7] == 6 and g.al[6][7] == 2
-    assert g.im[6][2] == 7 and g.im[2][6] == 7
+    assert g.tail[2] == [6] and g.tail[6] == [2]
+    assert g.im[6][2] == n and g.im[2][6] == n  # tail slot 0
     assert g.ndeg[2] == 1 and g.ndeg[6] == 1
     assert g.is_adjacent(2, 6) and g.is_adjacent(6, 2)
     assert g.degree(2) == 5
     assert set(g.neighbors(2)) == {0, 1, 3, 5, 6}
     g.add_edge(2, 4)
-    assert g.al[2][6] == 4  # second addition, one slot inward
+    assert g.tail[2] == [6, 4]  # second addition, next tail slot
+    assert g.im[4][2] == n + 1
     assert g.degree(2) == 6
 
 
@@ -65,10 +71,10 @@ def test_stale_tail_slot_does_not_fake_adjacency():
     assert not g.is_adjacent(7, 0)
     # reuse the same tail slot for a different partner
     g.add_edge(0, 4)
-    assert g.al[0][7] == 4
+    assert g.tail[0] == [4]
     assert g.is_adjacent(0, 4)
-    # the stale index entry for 7 now points at a slot holding 4
-    assert g.im[7][0] == 7
+    # the stale index entry for 7 now points at tail slot 0, holding 4
+    assert g.im[7][0] == G8_N
     assert not g.is_adjacent(7, 0)
     assert not g.is_adjacent(0, 7)
 
@@ -87,15 +93,33 @@ def test_restore_rolls_back_additions_and_deletions_together():
     assert edge_count(g) == len(G8_EDGES)
 
 
-def test_tail_overflow_backstop_fires():
-    # editing the same pair twice on one path eventually overruns the
-    # padded area; the structural assert catches it
+def test_readding_a_deleted_base_pair_raises_at_once():
+    # editing a base pair twice on one path is forbidden; the index
+    # entry still names a base slot, so the first re-add raises
     g = AdditionGraph(3, [(0, 1), (0, 2)])
     g.delete_edge(0, 1)
-    g.delete_edge(0, 2)
-    g.add_edge(0, 1)  # one padded slot at vertex 0, now used up
-    with pytest.raises(AssertionError):
-        g.add_edge(0, 2)
+    with pytest.raises(AssertionError, match="add_edge on base pair"):
+        g.add_edge(0, 1)
+    with pytest.raises(AssertionError, match="add_edge on base pair"):
+        g.add_edge(1, 0)
+    assert g.tail == [[], [], []] and g.ndeg == [0, 0, 0]
+
+
+def test_addition_build_holds_no_more_than_plain():
+    # the tails start empty, so an addition build costs about what a
+    # plain build does: the quadratic index and nothing else n by n
+    spec = gen_random_gnm(800, 1200, 0)
+    held = []
+    for cls in (HybridGraph, AdditionGraph):
+        tracemalloc.start()
+        try:
+            g = cls(spec.n, spec.edges)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del g
+    plain, addition = held
+    assert addition < 1.1 * plain
 
 
 def test_max_degree_counts_added_edges():

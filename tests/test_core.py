@@ -236,7 +236,7 @@ def test_identical_scripts_are_bit_deterministic():
 
 
 # global tables: never rolled back by design
-GLOBAL_TABLES = {"al", "im", "vlist", "idxlist", "csl", "base_deg",
+GLOBAL_TABLES = {"al", "im", "vlist", "idxlist", "csl", "tail",
                  "_stamp", "_gen"}
 
 
@@ -294,7 +294,7 @@ def test_restore_covers_every_undo_vector(cls):
         edited = set()
         for _ in range(rng.randrange(0, 6)):
             _random_edit(g, rng, edited)
-        before = {name: copy.copy(getattr(g, name)) for name in names}
+        before = {name: copy.deepcopy(getattr(g, name)) for name in names}
         s = g.snapshot()
         for _ in range(rng.randrange(1, 12)):
             _random_edit(g, rng, edited)

@@ -78,9 +78,9 @@ def test_snapshot_restore_flat_cost():
 def test_addition_mode_costs():
     g = counting(AdditionGraph)(G8_N, G8_EDGES)
     g.add_edge(0, 7)
-    # guard: the adjacency check (an index miss, one read) and both
-    # tail-capacity checks
-    assert g.counters.reads["add_edge"] == 4 + 3 * __debug__
+    # guard: the base-pair check and the adjacency check (an index miss),
+    # one read each
+    assert g.counters.reads["add_edge"] == 2 + 2 * __debug__
     assert g.counters.writes["add_edge"] == 6
     assert g.counters.calls == {"add_edge": 1}  # the nested check is add_edge's
     g.is_adjacent(0, 7)  # tail hit: index, degree, count, content
@@ -97,7 +97,7 @@ def _tables(g):
                 g.n_c, g.log)
     return (g.al, g.im, g.vlist, g.idxlist, g.deg, g.n_c,
             *(getattr(g, name, None)   # mode-specific tables
-              for name in ("ndeg", "vcolor", "cc", "csl")))
+              for name in ("ndeg", "tail", "vcolor", "cc", "csl")))
 
 
 def _random_op(rng, g, mode, edited):
@@ -325,7 +325,7 @@ def test_readme_costs_without_asserts():
     n = 8
     want = {"is_adjacent miss": [1, 0], "is_adjacent hit": [2, 0],
             "delete_edge": [6, 10], "snapshot": [n, n], "restore": [n, n],
-            "add_edge": [4, 6], "addition is_adjacent tail hit": [4, 0],
+            "add_edge": [2, 6], "addition is_adjacent tail hit": [4, 0],
             "addition restore": [2 * n, 2 * n]}
     for d in (1, 3, 0):
         want[f"delete_vertex d={d}"] = [3 + 4 * d, 5 + 5 * d]
@@ -333,8 +333,8 @@ def test_readme_costs_without_asserts():
     # contract(0, 1): cc_u = cc_v = 1, d_u = 3, d_v = 2 (color degrees),
     # and r = 1 (color 2), whose redundant edge (1, 2) goes
     su, du, sv, dv, r = 1, 3, 1, 2, 1
-    want["contract"] = [13 + 2 * (su + du) + 3 * sv + 2 * dv + 6 * r,
-                        16 + 2 * sv + 10 * r]
+    want["contract"] = [12 + 2 * (su + du) + 3 * sv + 3 * dv + 6 * r,
+                        15 + du + 2 * sv + dv + 9 * r]
     # color 2 is then a singleton of degree 2 (colors 0 and 3), and
     # color 0 = {0, 1} keeps one edge, to color 3
     d = 2
@@ -377,9 +377,9 @@ def test_contraction_ops_counted():
             su, sv, du, dv = g.cc[c], g.cc[cv], g.degree(c), g.degree(cv)
             r = len(set(g.neighbors(c)) & set(g.neighbors(cv)))
             g.contract(c, cv)
-            want = {"contract": (13 + 2 * (su + du) + 3 * sv + 2 * dv + 6 * r
+            want = {"contract": (12 + 2 * (su + du) + 3 * sv + 3 * dv + 6 * r
                                  + (4 + 2 * r) * __debug__,
-                                 16 + 2 * sv + 10 * r)}
+                                 15 + du + 2 * sv + dv + 9 * r)}
         for op, (reads, writes) in want.items():
             before = c0.get(op, {"reads": 0, "writes": 0})
             after = g.counters.as_dict()[op]
