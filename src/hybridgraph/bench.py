@@ -70,11 +70,6 @@ PROBLEMS = {
     "ce": (solve_ce_parm, True, False),
 }
 
-KEYS = frozenset((
-    "problem", "generator", "path", "name", "k", "reps", "timeout_s",
-    "optional",
-))
-
 GENERATOR_KEYS = {"gnm": ("n", "m", "seed"),
                   "ce": ("n", "clusters", "flips", "seed")}
 
@@ -225,6 +220,8 @@ VALUE_RULES = (
      _is_generator),
     ("path", "a string", lambda x: type(x) is str),
 )
+
+KEYS = frozenset(("problem", *(key for key, _, _ in VALUE_RULES)))
 
 
 def _check_entry(entry, where):

@@ -2,16 +2,9 @@
 
 ``counting(cls)`` returns a subclass of a representation class that
 runs the plain op bodies as they are.  Its constructor builds the graph
-normally and then swaps every cell array for a ``Cells`` list that adds
-each index, slice and copy to one shared ``[reads, writes]`` tally:
-
-- both representations: the sparse active set ``vlist`` / ``idxlist``
-  and ``deg``;
-- hybrid modes: the rows of ``al`` and ``im``, the addition tail rows
-  ``tail``, the color member rows ``csl``, the contraction scratch
-  marks ``_stamp``, and the search-local vectors ``ndeg``, ``vcolor``
-  and ``cc`` that the graph's mode has;
-- baseline: ``nbr``, ``prv``, ``nxt`` and ``head``.
+normally and then swaps every list it holds in a slot for a ``Cells``
+list that adds each index, slice, copy, append and pop to one shared
+``[reads, writes]`` tally; a list of lists is counted row by row.
 
 Reads made by ``assert`` guards are counted too (``python -O`` drops
 them).  Every public method is wrapped with a depth guard: the
@@ -58,7 +51,8 @@ class OpCounters:
 class Cells(list):
     """A list that counts its cell accesses into a shared tally.  A
     slice counts its length; slice assignment and ``copy()`` count one
-    read and one write per cell copied."""
+    read and one write per cell copied; ``append`` writes one cell and
+    ``pop`` reads one."""
 
     __slots__ = ("tally",)
 
@@ -83,6 +77,10 @@ class Cells(list):
         self.tally[1] += 1
         list.append(self, x)
 
+    def pop(self, *i):
+        self.tally[0] += 1
+        return list.pop(self, *i)
+
     def copy(self):
         t = self.tally
         t[0] += len(self)
@@ -91,17 +89,17 @@ class Cells(list):
 
 
 def _count_cells(g, tally):
-    """Swap the cell arrays of a built graph for counting ones; each
-    representation and mode has only some of the names below."""
-    for name in ("al", "im", "tail", "csl"):
-        rows = getattr(g, name, None)
-        if rows is not None:
-            rows[:] = [Cells(tally, row) for row in rows]
-    for name in ("vlist", "idxlist", "deg", "ndeg", "vcolor", "cc", "_stamp",
-                 "nbr", "prv", "nxt", "head"):
-        cells = getattr(g, name, None)
-        if cells is not None:
-            setattr(g, name, Cells(tally, cells))
+    """Swap every list a built graph holds in a slot, over all its
+    classes, for a counting one: a list of lists row by row."""
+    for klass in type(g).__mro__:
+        for name in vars(klass).get("__slots__", ()):
+            cells = getattr(g, name)
+            if type(cells) is not list:
+                continue
+            if cells and type(cells[0]) is list:
+                cells[:] = [Cells(tally, row) for row in cells]
+            else:
+                setattr(g, name, Cells(tally, cells))
 
 
 def _counted(op, fn):

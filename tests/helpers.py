@@ -1,8 +1,9 @@
 """Shared fixtures for the test suite: small named graphs, a local
 G(n,m) sampler that does not depend on the package's generators,
 member-level views of a ``ContractionGraph``'s colors, the live edge
-count and the maximum-degree vertex of any representation, and a DIMACS
-writer for tests that read instance files."""
+count and the maximum-degree vertex of any representation, every table
+a representation names in its slots, and a DIMACS writer for tests that
+read instance files."""
 
 import random
 from itertools import combinations
@@ -90,6 +91,17 @@ def max_degree_vertex(g):
     method the greedy cover called once per step before it kept a
     heap."""
     return max(sorted(g.active_vertices()), key=g.degree, default=None)
+
+
+def slot_names(cls):
+    """Every slot name of cls and of its bases."""
+    return [name for k in cls.__mro__ for name in vars(k).get("__slots__", ())]
+
+
+def tables(g, cls=None):
+    """Name to value of every slot of g that ``cls`` (default: g's own
+    class) names: all its arrays and counts."""
+    return {name: getattr(g, name) for name in slot_names(cls or type(g))}
 
 
 def format_dimacs(spec):

@@ -15,7 +15,7 @@ from hybridgraph.baseline import BaselineGraph
 from hybridgraph.core import GraphBuildError
 from hybridgraph.solvers.dominating_set import cover_edges
 
-from helpers import gnm
+from helpers import gnm, tables
 
 
 class RefBaseline(BaselineGraph):
@@ -83,11 +83,7 @@ def assert_same_cells(a, b):
 
 
 def assert_same(a, b):
-    assert_same_cells(a, b)
-    assert a.vlist == b.vlist
-    assert a.idxlist == b.idxlist
-    assert a.n_c == b.n_c
-    assert a.log == b.log
+    assert tables(a) == tables(b)
 
 
 def oriented(edges, rng):

@@ -16,7 +16,7 @@ from hybridgraph.addition import AdditionGraph
 from hybridgraph.contraction import ContractionGraph
 from hybridgraph.core import HybridGraph
 
-from helpers import color_members, color_of, gnm
+from helpers import color_members, color_of, gnm, tables
 
 
 def _swap_out(g, v):
@@ -54,18 +54,8 @@ def ref_delete_color(g, c):
 
 
 def assert_same(a, b):
-    assert a.al == b.al
-    assert a.im == b.im
-    assert a.vlist == b.vlist
-    assert a.idxlist == b.idxlist
-    assert a.deg == b.deg
-    assert a.n_c == b.n_c
-    if isinstance(a, AdditionGraph):
-        assert a.ndeg == b.ndeg
+    assert tables(a) == tables(b)
     if isinstance(a, ContractionGraph):
-        assert a.csl == b.csl
-        assert a.vcolor == b.vcolor
-        assert a.cc == b.cc
         for c in a.active_vertices():
             assert a.degree(c) == len(a.neighbors(c))
 
