@@ -46,7 +46,8 @@ class Search:
     deadline is polled at every node and at every greedy step."""
 
     def __init__(self, g, timeout):
-        if timeout is not None and not timeout >= 0:  # also rejects NaN
+        # not timeout >= 0 also rejects NaN; a bool is no number of seconds
+        if type(timeout) is bool or timeout is not None and not timeout >= 0:
             raise ValueError(f"timeout must be a non-negative number of "
                              f"seconds, got {timeout!r}")
         self.g = g

@@ -7,8 +7,10 @@ dominates j.  Including a set deletes it and every element it covers;
 excluding a set just deletes it.
 
 Each round is one unsorted scan of the active vertices (``_scan``).
-Elements of frequency zero kill the branch, empty sets are deleted,
-and every element of frequency one forces its set.  All forced sets
+Every element of frequency one forces its set.  No scan meets an
+uncovered element: set j covers element j, every element is at
+frequency >= 2 after the forced sets, and an exclusion lowers it by
+at most one, so every scan sees frequency >= 1.  All forced sets
 are taken in one pass: including a set deletes the elements it covers
 and no other element's frequency changes, so the forced sets are the
 same whatever the order, and an element already covered by an earlier
@@ -32,37 +34,29 @@ def cover_edges(n, edges):
 
 
 class _CoverSearch(Search):
-    def __init__(self, g, timeout, n):
-        super().__init__(g, timeout)
-        self.n = n
-        self.best = None
+    best = None   # the incumbent cover, seeded by ``run``
 
     def _scan(self):
         """One pass over the active vertices.  Returns the number of
-        elements left (None if some element has no set left), the
-        elements of frequency one, the empty sets, and the largest set
-        (lowest id on ties) with its size."""
+        elements left, the elements of frequency one, and the largest
+        set (lowest id on ties) with its size, which is >= 1 while an
+        element is left: every element has frequency >= 1 here."""
         g = self.g
-        n = self.n
+        n = g.n // 2   # sets are 0..n-1, elements n..2n-1
         left = 0
         ones = []
-        empty = []
         pick = None
         size = 0
         for v in g.active_vertices():
             d = g.degree(v)
             if v >= n:
-                if d == 0:
-                    return None, ones, empty, pick, size
                 left += 1
                 if d == 1:
                     ones.append(v)
-            elif d == 0:
-                empty.append(v)
-            elif d > size or (d == size and v < pick):
+            elif d > size or (d == size and d and v < pick):
                 pick = v
                 size = d
-        return left, ones, empty, pick, size
+        return left, ones, pick, size
 
     def _include(self, s):
         g = self.g
@@ -74,11 +68,11 @@ class _CoverSearch(Search):
     def greedy(self):
         g = self.g
         snap = g.snapshot()
-        left, _, _, pick, _ = self._scan()
+        left, _, pick, _ = self._scan()
         while left:
             self.poll()
             self._include(pick)
-            left, _, _, pick, _ = self._scan()
+            left, _, pick, _ = self._scan()
         g.restore(snap)
         cover, self.trail = self.trail, []
         return cover
@@ -97,16 +91,12 @@ class _CoverSearch(Search):
             self._include(s)
         for s in drop:
             g.delete_vertex(s)
-        left, ones, empty, pick, size = self._scan()
-        if left is None:
-            return
-        for s in empty:
-            g.delete_vertex(s)
+        left, ones, pick, size = self._scan()
         if ones:
             for e in ones:
                 if g.is_active(e):
                     self._include(g.neighbors(e)[0])
-            left, _, _, pick, size = self._scan()
+            left, _, pick, size = self._scan()
         if not left:
             if len(trail) < len(self.best):
                 self.best = list(trail)
@@ -122,7 +112,7 @@ def solve_ds_opt(n, edges, repr_name="hybrid", timeout=None,
     edges = list(edges)  # read again to verify the witness
     g = build_representation(repr_name, "plain", 2 * n, cover_edges(n, edges),
                              instrumented)
-    search = _CoverSearch(g, timeout, n)
+    search = _CoverSearch(g, timeout)
     witness, wall = timed(n + 1, search.run)
     if not verify_ds(n, edges, witness):
         raise RuntimeError("cover search produced an invalid dominating set")

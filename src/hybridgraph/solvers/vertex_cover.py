@@ -85,9 +85,9 @@ def _reduce(g, trail, k=None, fold=False):
                 continue
             if d == 1:
                 take, drop = g.neighbors(v), (v,)
-            elif k is not None and d > k:
+            elif d > hi:
                 take, drop = (v,), ()
-            elif fold and d == 2:   # d <= k, so k >= 2 here
+            else:   # fold and d == 2 <= k, the one degree left
                 wa, wb = sorted(g.neighbors(v))
                 if not g.is_adjacent(wa, wb):
                     k -= 1
@@ -97,8 +97,6 @@ def _reduce(g, trail, k=None, fold=False):
                     break
                 # triangle: some optimal cover takes both neighbors
                 take, drop = (wa, wb), (v,)
-            else:
-                continue
             if k is not None:
                 if k < len(take):
                     return None
@@ -234,7 +232,7 @@ class _ParmSearch(Search):
         k, m, v = reduced
         if m == 0:
             return True
-        if k <= 0 or m > k * k:
+        if m > k * k:
             return False
         if self.node(k, (v,)):
             return True

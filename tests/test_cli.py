@@ -454,6 +454,26 @@ def test_bench_pair_that_disagrees_fails_both(tmp_path, monkeypatch):
         "representation mismatch: hybrid=(2,2,5) alist=(2,2,6)")
 
 
+def test_bench_nondeterministic_node_counts_fail_the_record(tmp_path,
+                                                           monkeypatch):
+    calls = []
+
+    def fake_solve(problem, n, edges, repr_name, **kw):
+        calls.append(repr_name)
+        nodes = 5 if repr_name == "alist" else 5 + len(calls)
+        return SolverResult(problem, n, 2, [0, 1], nodes, 1.0, repr_name,
+                            size=2)
+
+    monkeypatch.setattr(benchmod, "dispatch_solve", fake_solve)
+    path = _manifest(tmp_path, [{"problem": "ds", "generator": GEN}])
+    records, all_ok = run_manifest(path)
+    assert calls == ["hybrid", "alist"] * 2
+    assert not all_ok
+    assert [(r["repr"], r["status"]) for r in records] == [
+        ("hybrid", "error"), ("alist", "ok")]
+    assert records[0]["error"] == "nondeterministic node counts [6, 8]"
+
+
 @pytest.mark.parametrize("data, message", [
     ([{"problem": "vc"}], "manifest: must be an object"),
     ({"runs": [5]}, "row 0: must be an object, got 5"),

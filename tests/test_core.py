@@ -121,6 +121,12 @@ def test_empty_and_tiny_graphs():
     assert g1.active_count() == 0
 
 
+def test_repr_names_the_class_and_the_active_count():
+    g = HybridGraph(3, [(0, 1)])
+    g.delete_vertex(2)
+    assert repr(g) == "HybridGraph(n=3, active=2)"
+
+
 @pytest.mark.parametrize("n, edges, exc, msg", [
     pytest.param(3, [(1, 1)], GraphBuildError, "self-loop at vertex 1",
                  id="self-loop"),

@@ -56,7 +56,10 @@ def test_parse_dimacs_count_mismatch_warns():
         ("p edge 3 0\np edge 3 0\n", "second problem line"),
         ("p edge 3 1\nq 1 2\n", "unrecognized"),
         ("p knapsack 3 1\n", "bad problem line"),
+        ("p edge three 1\n", "bad problem line"),
+        ("p edge 3 -1\n", "negative sizes"),
         ("p edge 3 1\ne 1\n", "bad edge line"),
+        ("p edge 3 1\ne 1 x\n", "bad edge line"),
         ("c only comments\n", "missing problem line"),
     ],
 )

@@ -111,6 +111,21 @@ def test_vc_fold_requires_hybrid():
         solve_vc_parm(4, [(0, 1)], 1, repr_name="alist", fold=True)
 
 
+@pytest.mark.parametrize("solve", [solve_vc_parm, solve_ce_parm])
+def test_negative_budget_raises(solve):
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        solve(*path(4), -1)
+
+
+@pytest.mark.parametrize("verify", [verify_vc, verify_ds])
+@pytest.mark.parametrize("witness", [[0, 0, 1, 2], [0, 1, 2, 4],
+                                     [-1, 0, 1, 2]])
+def test_verify_rejects_repeated_or_out_of_range_vertices(verify, witness):
+    n, edges = path(4)
+    assert verify(n, edges, [0, 1, 2, 3])
+    assert not verify(n, edges, witness)
+
+
 def test_vc_fold_unfolds_path_and_cycle_witnesses():
     n, edges = path(9)  # folding collapses the whole path
     res = solve_vc_parm(n, edges, 4, fold=True)
@@ -184,6 +199,35 @@ def test_ds_node_counts_match_across_reprs():
         assert a.answer == b.answer
         assert a.nodes == b.nodes
         assert a.witness == b.witness
+
+
+def test_ds_scan_never_meets_an_uncovered_element(monkeypatch):
+    """The invariant the DS node rests on instead of an infeasibility
+    test and empty-set deletions: at every scan each active element
+    has a set left, so a nonempty set is picked while one is left."""
+    scan = _CoverSearch._scan
+    scans = 0
+
+    def checked(self):
+        nonlocal scans
+        scans += 1
+        g = self.g
+        n = g.n // 2
+        assert all(g.degree(e) >= 1 for e in g.active_vertices() if e >= n)
+        left, _, _, size = out = scan(self)
+        assert size >= 1 or not left
+        return out
+
+    monkeypatch.setattr(_CoverSearch, "_scan", checked)
+    rng = random.Random(31)
+    for trial in range(300):
+        n = rng.randrange(1, 41)
+        m = rng.randrange(0, n * (n - 1) // 2 + 1)
+        n, edges = gnm(n, m, rng.randrange(1 << 30))
+        a = solve_ds_opt(n, edges, repr_name="hybrid")
+        b = solve_ds_opt(n, edges, repr_name="alist")
+        assert (a.answer, a.nodes, a.witness) == (b.answer, b.nodes, b.witness)
+    assert scans > 2 * 300
 
 
 def test_ce_small_cases():
@@ -330,7 +374,7 @@ def test_edges_as_an_iterator_solve_as_the_list(repr_name):
                 == (want.answer, want.nodes, want.witness)), (solve, args)
 
 
-@pytest.mark.parametrize("seconds", [float("nan"), -1])
+@pytest.mark.parametrize("seconds", [float("nan"), -1, True, False])
 def test_bad_timeout_raises(seconds):
     with pytest.raises(ValueError, match="timeout"):
         solve_vc_opt(*path(4), timeout=seconds)
@@ -385,7 +429,7 @@ TIMEOUT_CASES = {
         _ParmSearch(g, 0.0, False).node, 700, ())),
     "vc-parm-fold": (1500, 2250, lambda g: partial(
         _ParmSearch(g, 0.0, True).node, 700, ())),
-    "ds": (300, 450, lambda g: _CoverSearch(g, 0.0, g.n // 2).run),
+    "ds": (300, 450, lambda g: _CoverSearch(g, 0.0).run),
     "ce": (40, 200, lambda g: partial(
         _EditSearch(g, 0.0).node, 104, frozenset())),
 }
