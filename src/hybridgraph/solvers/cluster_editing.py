@@ -27,7 +27,7 @@ the branches after it: every solution that edits the pair lies in the
 subtree that just failed.
 """
 
-from .common import Search, build_representation, timed
+from .common import Search, build_representation, check_budget, timed
 from .verify import verify_ce
 
 
@@ -150,8 +150,7 @@ def solve_ce_parm(n, edges, k, repr_name="hybrid", timeout=None,
                   instrumented=False):
     """Decide whether at most k edits make the graph disjoint cliques."""
     edges = list(edges)  # read again to verify the witness
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    check_budget(k)
     g = build_representation(repr_name, "addition", n, edges, instrumented)
     search = _EditSearch(g, timeout)
     # each pair is edited at most once along a path

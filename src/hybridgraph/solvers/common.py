@@ -33,6 +33,12 @@ def timed(depth, root, *args):
         sys.setrecursionlimit(old)
 
 
+def check_budget(k):
+    """Raise unless ``k`` is an int >= 0: a bool, float or NaN is not."""
+    if type(k) is bool or not isinstance(k, int) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+
+
 class Search:
     """One exact search over graph ``g``.  A subclass defines
     ``expand(*args)``: apply the branch edit that leads to the node,
@@ -42,8 +48,9 @@ class Search:
     part of the witness) are dropped unless ``expand`` returned True,
     so a decision search that succeeds keeps its witness and an
     optimization search, whose ``expand`` returns None, always rolls
-    back.  ``timeout`` is None or seconds on the monotonic clock; the
-    deadline is polled at every node and at every greedy step."""
+    back.  ``timeout`` is None or seconds on the monotonic clock, polled
+    on entry to every node.  Every snapshot, restore, deadline poll and
+    (through ``expand``) graph edit of a search happens inside ``node``."""
 
     def __init__(self, g, timeout):
         # not timeout >= 0 also rejects NaN; a bool is no number of seconds
@@ -67,10 +74,13 @@ class Search:
             del self.trail[mark:]
         return found
 
-    def poll(self):
-        """The deadline test that ``node`` inlines, for greedy loops."""
-        if self.t_end is not None and time.monotonic() > self.t_end:
-            raise SolveTimeout
+    def run(self, best):
+        """Optimize from ``best``, a valid witness, which ``expand``
+        replaces with each smaller one it completes; returns the last,
+        sorted."""
+        self.best = best
+        self.node(())
+        return sorted(self.best)
 
     def result(self, problem, n, answer, witness, wall_ms, repr_name, **kw):
         counters = getattr(self.g, "counters", None)

@@ -18,9 +18,11 @@ forced set is skipped.  One more scan, only if a set was forced, gives
 the bound, elements left over largest-set size, and the branching set:
 the largest set, lowest id on ties.  The rule breaks ties explicitly,
 so node counts do not depend on the scan order and are
-representation-independent.
+representation-independent.  The incumbent starts as every set, and
+the first dive is a greedy.
 """
 
+from ..core import GraphBuildError, HybridGraph
 from .common import Search, build_representation, timed
 from .verify import verify_ds
 
@@ -34,8 +36,6 @@ def cover_edges(n, edges):
 
 
 class _CoverSearch(Search):
-    best = None   # the incumbent cover, seeded by ``run``
-
     def _scan(self):
         """One pass over the active vertices.  Returns the number of
         elements left, the elements of frequency one, and the largest
@@ -65,23 +65,6 @@ class _CoverSearch(Search):
             g.delete_vertex(e)
         g.delete_vertex(s)
 
-    def greedy(self):
-        g = self.g
-        snap = g.snapshot()
-        left, _, pick, _ = self._scan()
-        while left:
-            self.poll()
-            self._include(pick)
-            left, _, pick, _ = self._scan()
-        g.restore(snap)
-        cover, self.trail = self.trail, []
-        return cover
-
-    def run(self):
-        self.best = self.greedy()
-        self.node(())
-        return sorted(self.best)
-
     def expand(self, take, drop=()):
         """Branch edit: include the sets in ``take``, exclude those in
         ``drop``."""
@@ -110,10 +93,15 @@ def solve_ds_opt(n, edges, repr_name="hybrid", timeout=None,
                  instrumented=False):
     """Minimum dominating set size with a witness."""
     edges = list(edges)  # read again to verify the witness
-    g = build_representation(repr_name, "plain", 2 * n, cover_edges(n, edges),
-                             instrumented)
+    try:
+        g = build_representation(repr_name, "plain", 2 * n,
+                                 cover_edges(n, edges), instrumented)
+    except GraphBuildError:
+        # a valid graph has a valid cover graph, so this raises: the
+        # same fault, in the caller's numbering
+        HybridGraph(n, edges)
     search = _CoverSearch(g, timeout)
-    witness, wall = timed(n + 1, search.run)
+    witness, wall = timed(n + 1, search.run, list(range(n)))
     if not verify_ds(n, edges, witness):
         raise RuntimeError("cover search produced an invalid dominating set")
     return search.result("ds", n, len(witness), witness, wall, repr_name)

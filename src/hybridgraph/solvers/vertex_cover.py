@@ -2,10 +2,10 @@
 
 ``solve_vc_opt`` is a branch-and-bound optimization: degree-0/1
 reductions, two-way branching on a maximum-degree vertex v (take v, or
-take all of N(v)), a greedy initial incumbent, and a lower bound that
-is the larger of a greedy maximal matching (a cover takes one end of
-every matched edge) and edges over maximum degree (no vertex covers
-more than Δ edges).
+take all of N(v)), and a lower bound that is the larger of a greedy
+maximal matching (a cover takes one end of every matched edge) and
+edges over maximum degree (no vertex covers more than Δ edges).  The
+incumbent starts as every vertex, and the first dive is a greedy.
 
 ``solve_vc_parm`` decides whether a cover of size k exists.  It adds
 the high-degree rule (degree > k forces the vertex) and the m > k^2
@@ -32,9 +32,7 @@ Every decision is made in canonical order (lowest id wins ties), so
 node counts are identical across representations.
 """
 
-import heapq
-
-from .common import Search, build_representation, timed
+from .common import Search, build_representation, check_budget, timed
 from .verify import verify_vc
 
 
@@ -62,10 +60,10 @@ def _reduce(g, trail, k=None, fold=False):
     rule can touch (degree at least 2, or 3 with ``fold``, and at most
     the budget) takes the fast path, which adds its degree to the sum
     and keeps the first vertex of strictly larger degree; ids ascend,
-    so the lowest id wins ties, as in ``greedy_cover``.  Every
-    other vertex of a completed scan had degree 0 and is gone, so the
-    sum is twice the edge count.  In contraction mode ``degree`` is the
-    color degree, so all of this holds over colors."""
+    so the lowest id wins ties.  Every other vertex of a completed scan
+    had degree 0 and is gone, so the sum is twice the edge count.  In
+    contraction mode ``degree`` is the color degree, so all of this
+    holds over colors."""
     lo = 2 if fold else 1
     while True:
         hi = g.n if k is None else k
@@ -127,29 +125,6 @@ def _unfold(trail):
 
 
 class _OptSearch(Search):
-    best = None   # the incumbent cover, seeded by ``run``
-
-    def greedy_cover(self):
-        """Take a maximum-degree vertex, lowest id on ties, until the top
-        degree is 0, off a lazy max-heap of ``(-degree, v)``: degrees only
-        fall, so the first top whose degree is current is the maximum."""
-        g = self.g
-        snap = g.snapshot()
-        heap = [(-g.degree(v), v) for v in g.active_vertices()]
-        heapq.heapify(heap)
-        cover = []
-        while heap and heap[0][0]:
-            self.poll()
-            d, v = heap[0]
-            now = -g.degree(v)
-            if now == d:
-                cover.append(heapq.heappop(heap)[1])
-                g.delete_vertex(v)
-            else:   # stale: push it down to its current degree
-                heapq.heapreplace(heap, (now, v))
-        g.restore(snap)
-        return cover
-
     def lower_bound(self, m, delta, need):
         """Whether a graph of ``m > 0`` edges and maximum degree
         ``delta`` may still have a cover of fewer than ``need``
@@ -184,12 +159,6 @@ class _OptSearch(Search):
                     break
         return True
 
-    def run(self):
-        self.best = self.greedy_cover()
-        if self.best:   # empty exactly when there are no edges
-            self.node(())
-        return sorted(self.best)
-
     def expand(self, take, drop=()):
         g = self.g
         trail = self.trail
@@ -212,7 +181,7 @@ def solve_vc_opt(n, edges, repr_name="hybrid", timeout=None,
     edges = list(edges)  # read again to verify the witness
     g = build_representation(repr_name, "plain", n, edges, instrumented)
     search = _OptSearch(g, timeout)
-    witness, wall = timed(n + 1, search.run)
+    witness, wall = timed(n + 1, search.run, list(range(n)))
     if not verify_vc(n, edges, witness):
         raise RuntimeError("optimizer produced an invalid cover")
     return search.result("vc", n, len(witness), witness, wall, repr_name)
@@ -244,8 +213,7 @@ def solve_vc_parm(n, edges, k, repr_name="hybrid", fold=False, timeout=None,
                   instrumented=False):
     """Decide whether a vertex cover of size at most k exists."""
     edges = list(edges)  # read again to verify the witness
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    check_budget(k)
     mode = "contraction" if fold else "plain"
     g = build_representation(repr_name, mode, n, edges, instrumented)
     search = _ParmSearch(g, timeout, fold)

@@ -87,9 +87,7 @@ def edge_count(g):
 
 def max_degree_vertex(g):
     """Active vertex of g of maximum degree, lowest id on ties, or None
-    (in the contraction mode, over colors): the body of the graph
-    method the greedy cover called once per step before it kept a
-    heap."""
+    (in the contraction mode, over colors)."""
     return max(sorted(g.active_vertices()), key=g.degree, default=None)
 
 

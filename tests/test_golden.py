@@ -17,8 +17,8 @@ REPRS = ("hybrid", "alist")
 
 # gnm(20, 70, seed): (seed, (answer, nodes, witness))
 VC_OPT = [
-    (3, (13, 18, [3, 4, 6, 7, 8, 10, 11, 13, 14, 15, 16, 17, 19])),
-    (11, (13, 15, [0, 2, 4, 6, 7, 8, 9, 10, 11, 12, 15, 18, 19])),
+    (3, (13, 19, [3, 4, 6, 7, 8, 10, 11, 13, 14, 15, 16, 17, 19])),
+    (11, (13, 16, [0, 2, 4, 6, 7, 8, 9, 10, 11, 13, 15, 18, 19])),
 ]
 
 # gnm(20, 70, seed) at k = opt and opt - 1: (seed, k, fold, result)
@@ -35,13 +35,13 @@ VC_PARM = [
 
 # gnm(13, 24, seed): (seed, result)
 DS = [
-    (5, (4, 7, [1, 2, 4, 5])),
-    (8, (3, 12, [4, 6, 7])),
+    (5, (4, 10, [1, 2, 4, 5])),
+    (8, (3, 15, [4, 6, 7])),
     # a reduction pass takes two or more forced sets
-    (6, (3, 16, [2, 6, 11])),
+    (6, (3, 19, [2, 6, 11])),
     # two frequency-1 elements share their only set, so the pass skips
     # the one the first inclusion already covered
-    (9, (4, 25, [0, 2, 4, 11])),
+    (9, (4, 28, [0, 2, 4, 11])),
 ]
 
 # gen_cluster_editing(12, 3, 5, seed), planted budget 5, at k = 5 and 4

@@ -19,7 +19,9 @@ from hybridgraph.solvers import (
     verify_vc,
 )
 
+from hybridgraph.core import GraphBuildError
 from hybridgraph.instances import gen_cluster_editing, gen_random_gnm
+from hybridgraph.solvers import cluster_editing, dominating_set, vertex_cover
 from hybridgraph.solvers.cluster_editing import _EditSearch
 from hybridgraph.solvers.common import build_representation
 from hybridgraph.solvers.dominating_set import _CoverSearch, cover_edges
@@ -113,8 +115,40 @@ def test_vc_fold_requires_hybrid():
 
 @pytest.mark.parametrize("solve", [solve_vc_parm, solve_ce_parm])
 def test_negative_budget_raises(solve):
-    with pytest.raises(ValueError, match="k must be non-negative"):
-        solve(*path(4), -1)
+    # a budget is an int >= 0: NaN compares false against every bound,
+    # and a bool or a float would pass for one
+    for k in (-1, True, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="k must be a non-negative int"):
+            solve(*path(4), k)
+
+
+@pytest.mark.parametrize("repr_name", REPRS)
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 5)], "edge (0,5) out of range for n=3"),
+    (3, [(4, 0)], "edge (4,0) out of range for n=3"),
+    (3, [(1, 1)], "self-loop at vertex 1"),
+    (3, [(0, 1), (1, 0)], "duplicate edge (1,0)"),
+    (-1, [], "negative vertex count -1"),
+])
+def test_ds_build_errors_name_the_input_graph(repr_name, n, edges, message):
+    # the search runs on a 2n-vertex cover graph; its build errors are
+    # reported as the input graph's
+    with pytest.raises(GraphBuildError) as err:
+        solve_ds_opt(n, edges, repr_name=repr_name)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("module, verify, solve", [
+    (vertex_cover, "verify_vc", lambda: solve_vc_opt(*path(4))),
+    (vertex_cover, "verify_vc", lambda: solve_vc_parm(*path(4), 2)),
+    (dominating_set, "verify_ds", lambda: solve_ds_opt(*path(4))),
+    (cluster_editing, "verify_ce", lambda: solve_ce_parm(*path(4), 1)),
+], ids=["vc", "vc-parm", "ds", "ce"])
+def test_rejected_witness_raises(monkeypatch, module, verify, solve):
+    # every solver checks its witness before it returns one
+    monkeypatch.setattr(module, verify, lambda *args: False)
+    with pytest.raises(RuntimeError, match="invalid"):
+        solve()
 
 
 @pytest.mark.parametrize("verify", [verify_vc, verify_ds])
@@ -352,7 +386,7 @@ def test_empty_graph_solves():
         res = solve_ds_opt(0, [], repr_name=repr_name)
         assert (res.answer, res.nodes, res.witness) == (0, 1, [])
         res = solve_vc_opt(0, [], repr_name=repr_name)
-        assert (res.answer, res.nodes, res.witness) == (0, 0, [])
+        assert (res.answer, res.nodes, res.witness) == (0, 1, [])
 
 
 @pytest.mark.parametrize("repr_name", REPRS)
@@ -382,35 +416,34 @@ def test_bad_timeout_raises(seconds):
 
 def _frame_runs():
     n, edges = gnm(20, 70, 3)
-    yield "vc", 1, solve_vc_opt(n, edges, instrumented=True)
+    yield "vc", solve_vc_opt(n, edges, instrumented=True)
     res = solve_vc_opt(n, edges, repr_name="alist", instrumented=True)
-    yield "vc", 1, res
+    yield "vc", res
     for k in (res.answer, res.answer - 1):
-        yield "vc-parm", 0, solve_vc_parm(n, edges, k, instrumented=True)
-        yield "vc-parm", 0, solve_vc_parm(n, edges, k, repr_name="alist",
-                                          instrumented=True)
-        yield "vc-fold", 0, solve_vc_parm(n, edges, k, fold=True,
-                                          instrumented=True)
-    yield "vc-empty", 1, solve_vc_opt(5, [], instrumented=True)
+        yield "vc-parm", solve_vc_parm(n, edges, k, instrumented=True)
+        yield "vc-parm", solve_vc_parm(n, edges, k, repr_name="alist",
+                                       instrumented=True)
+        yield "vc-fold", solve_vc_parm(n, edges, k, fold=True,
+                                       instrumented=True)
+    yield "vc-empty", solve_vc_opt(5, [], instrumented=True)
     n, edges = gnm(13, 24, 8)
     for repr_name in REPRS:
-        yield "ds", 1, solve_ds_opt(n, edges, repr_name=repr_name,
-                                    instrumented=True)
+        yield "ds", solve_ds_opt(n, edges, repr_name=repr_name,
+                                 instrumented=True)
     spec, planted = gen_cluster_editing(12, 3, 5, 9)
     for k in (planted, planted - 1):
         for repr_name in REPRS:
-            yield "ce", 0, solve_ce_parm(spec.n, spec.edges, k,
-                                         repr_name=repr_name,
-                                         instrumented=True)
+            yield "ce", solve_ce_parm(spec.n, spec.edges, k,
+                                      repr_name=repr_name, instrumented=True)
 
 
 def test_one_frame_per_node():
-    # every node takes one snapshot and restores it once; the optimizers
-    # take one more for their greedy incumbent
-    for name, extra, res in _frame_runs():
+    # every node takes one snapshot and restores it once, and no solver
+    # takes any other
+    for name, res in _frame_runs():
         snaps = res.counters["snapshot"]["calls"]
         restores = res.counters["restore"]["calls"]
-        assert snaps == restores == res.nodes + extra, (name, res.nodes, snaps)
+        assert snaps == restores == res.nodes, (name, res.nodes, snaps)
 
 
 def test_worked_example_all_problems():
@@ -424,12 +457,14 @@ def test_worked_example_all_problems():
 # problem: G(n, m), and the search its solve_* function runs on graph
 # g, started as the solve starts it, with a zero timeout
 TIMEOUT_CASES = {
-    "vc": (1500, 2250, lambda g: _OptSearch(g, 0.0).run),
+    "vc": (1500, 2250, lambda g: partial(
+        _OptSearch(g, 0.0).run, list(range(1500)))),
     "vc-parm": (1500, 2250, lambda g: partial(
         _ParmSearch(g, 0.0, False).node, 700, ())),
     "vc-parm-fold": (1500, 2250, lambda g: partial(
         _ParmSearch(g, 0.0, True).node, 700, ())),
-    "ds": (300, 450, lambda g: _CoverSearch(g, 0.0).run),
+    "ds": (300, 450, lambda g: partial(
+        _CoverSearch(g, 0.0).run, list(range(300)))),
     "ce": (40, 200, lambda g: partial(
         _EditSearch(g, 0.0).node, 104, frozenset())),
 }
@@ -442,12 +477,11 @@ TIMEOUT_MODES = {"vc-parm-fold": "contraction", "ce": "addition"}
 def test_timeout_raises(problem, repr_name):
     """With a zero timeout every solve raises SolveTimeout before it
     has touched 4 cells per vertex and edge of the graph it searches.
-    The decision searches poll at their root node, before any cell.
-    The greedy loops that seed the optimizers poll at every step, so
-    only their set-up runs: a hybrid snapshot (2 cells per vertex) and
-    one pass that reads each active vertex and its degree (2 more),
-    the heap build or the first DS scan.  The bound leaves room for one
-    step more; a greedy that never polls runs to the end."""
+    Every search polls at its root node, before any cell: the
+    optimizers seed their incumbent with every vertex or set, which
+    reads no cell.  The bound leaves room for set-up work before the
+    first poll, such as a snapshot and one degree pass; a search that
+    ran a whole greedy or reduce before it polled would go past it."""
     n, m, start = TIMEOUT_CASES[problem]
     edges = gen_random_gnm(n, m, 5).edges
     if problem == "ds":

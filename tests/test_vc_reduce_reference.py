@@ -13,21 +13,16 @@ plain hybrid, alist, and contraction with folding.  The budgeted
 ``lower_bound(m, delta, need)`` must say ``max(matching, ⌈m/Δ⌉) <
 need`` for every ``need``, against the full bound kept verbatim too,
 and answer as the budgeted bound did before it settled a node from the
-active-vertex count, without a matching.  ``greedy_cover``, which seeds
-the optimizer's incumbent, must take the same vertices as its two-scan
-body, kept verbatim, on small random graphs and on sparse G(n, 1.5n),
-while its lazy heap reads at most one degree per vertex, per lost edge
-and per taken vertex."""
+active-vertex count, without a matching."""
 
 import random
 
 import pytest
 
-from hybridgraph.instances import gen_random_gnm
 from hybridgraph.solvers.common import build_representation
 from hybridgraph.solvers.vertex_cover import _delete, _OptSearch, _reduce
 
-from helpers import G8_EDGES, G8_N, edge_count, gnm, max_degree_vertex
+from helpers import edge_count, gnm, max_degree_vertex
 
 
 def ref_reduce(g, trail, k=None, fold=False):
@@ -256,73 +251,3 @@ def test_count_settles_the_bound_without_a_matching(repr_name):
     # ⌈m/Δ⌉ prunes, the count settles, a matching reaches need, and a
     # full matching ends below it
     assert min(ways.values()) > 100, ways
-
-
-def ref_greedy_cover(self):
-    """``_OptSearch.greedy_cover`` before it read each degree once per
-    step, kept verbatim but for the edge count, read by ``edge_count``."""
-    g = self.g
-    snap = g.snapshot()
-    cover = []
-    while edge_count(g):
-        v = max_degree_vertex(g)
-        cover.append(v)
-        g.delete_vertex(v)
-    g.restore(snap)
-    return cover
-
-
-@pytest.mark.parametrize("repr_name", ("hybrid", "alist"))
-def test_greedy_cover_matches_the_two_scan_loop(repr_name):
-    """Same cover as the reference on random G(n,m), also after random
-    deletions; the graph is left as it was; the cover is empty exactly
-    when no edge is left (``run`` relies on that); and the greedy reads
-    at most n + m + |cover| degrees: one per vertex to build the heap,
-    one per take, and at most one re-read per edge a vertex loses.  A
-    maximum-degree scan per step reads about n per step instead."""
-    rng = random.Random(4200 + (repr_name == "alist"))
-    empty = 0
-    for trial in range(150):
-        n = rng.randrange(1, 40)
-        m = rng.randrange(0, min(n * (n - 1) // 2, 5 * n) + 1)
-        spec = gnm(n, m, rng.randrange(1 << 30))
-        g = build_representation(repr_name, "plain", *spec,
-                                 instrumented=True)
-        ref = build_representation(repr_name, "plain", *spec)
-        search = _OptSearch(g, None)
-        calls = g.counters.calls
-        for _ in range(rng.randrange(1, 4)):
-            before = _state(g)
-            reads = calls.get("degree", 0)
-            cover = search.greedy_cover()
-            reads = calls.get("degree", 0) - reads
-            assert cover == ref_greedy_cover(_OptSearch(ref, None))
-            assert _state(g) == before
-            assert (cover == []) == (edge_count(ref) == 0)
-            assert reads <= ref.active_count() + edge_count(ref) + len(cover)
-            empty += cover == []
-            if not ref.active_count():
-                break
-            v = rng.choice(sorted(ref.active_vertices()))
-            g.delete_vertex(v)
-            ref.delete_vertex(v)
-    assert empty > 10, empty
-
-
-@pytest.mark.parametrize("repr_name", ("hybrid", "alist"))
-@pytest.mark.parametrize("n", (400, 800, 1500))
-def test_greedy_cover_matches_the_reference_on_sparse_graphs(repr_name, n):
-    for seed in range(3):
-        spec = gen_random_gnm(n, 3 * n // 2, seed)
-        g = build_representation(repr_name, "plain", spec.n, spec.edges)
-        search = _OptSearch(g, None)
-        assert search.greedy_cover() == ref_greedy_cover(search)
-
-
-@pytest.mark.parametrize("repr_name", ("hybrid", "alist"))
-def test_greedy_cover_takes_the_lowest_id_on_ties(repr_name):
-    # degree 4: 2 beats 5; then 4, 5, 6 and 7 have degree 3, and 4
-    # wins; then 6 alone has degree 3 and 0 alone degree 2; then 5
-    # beats 7 at degree 1
-    g = build_representation(repr_name, "plain", G8_N, G8_EDGES)
-    assert _OptSearch(g, None).greedy_cover() == [2, 4, 6, 0, 5]
