@@ -23,7 +23,7 @@ Undo is last-in, first-out, so a deleted vertex is back at
 ``vlist[n_c]`` when its record is undone: ``n_c += 1``.
 """
 
-from .core import GraphBuildError, HybridGraph
+from .core import GraphBuildError, HybridGraph, check_vertex_count
 
 
 class BaselineGraph:
@@ -33,8 +33,7 @@ class BaselineGraph:
     )
 
     def __init__(self, n, edges):
-        if n < 0:
-            raise GraphBuildError(f"negative vertex count {n}")
+        check_vertex_count(n)
         self.n = n
         self.nbr = []
         self.prv = []
@@ -45,51 +44,54 @@ class BaselineGraph:
         self.idxlist = list(range(n))
         self.n_c = n
         self.log = []
-        # validate every edge before any cell exists; edges is read
-        # twice, so an iterator is read into a list first
-        edges = list(edges)
-        seen = set()
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphBuildError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphBuildError(f"self-loop at vertex {u}")
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                raise GraphBuildError(f"duplicate edge ({u},{v})")
-            seen.add(key)
         self._add_cells(edges)
 
     def _add_cells(self, edges):
-        """Append the twin cells (u, v) then (v, u) of each edge, each
-        prepended to its owner's chain, so the twin of cell c is c ^ 1.
-        The build and ``add_edge`` both allocate cells here."""
+        """Check each edge and append its twin cells (u, v) then (v, u),
+        each prepended to its owner's chain, so the twin of cell c is
+        c ^ 1.  The build and ``add_edge`` both allocate cells here."""
+        n = self.n
         nbr = self.nbr
         prv = self.prv
         nxt = self.nxt
         head = self.head
         deg = self.deg
         c = len(nbr)
-        for u, v in edges:
-            nbr.append(v)
-            prv.append(-1)
-            first = head[u]
-            nxt.append(first)
-            if first != -1:
-                prv[first] = c
-            head[u] = c
-            deg[u] += 1
-            c += 1
-            nbr.append(u)
-            prv.append(-1)
-            first = head[v]
-            nxt.append(first)
-            if first != -1:
-                prv[first] = c
-            head[v] = c
-            deg[v] += 1
-            c += 1
+        seen = set()
+        for e in edges:
+            try:
+                u, v = e
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphBuildError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise GraphBuildError(f"self-loop at vertex {u}")
+                key = u * n + v if u < v else v * n + u
+                if key in seen:
+                    raise GraphBuildError(f"duplicate edge ({u},{v})")
+                seen.add(key)
+                nbr.append(v)
+                prv.append(-1)
+                first = head[u]
+                nxt.append(first)
+                if first != -1:
+                    prv[first] = c
+                head[u] = c
+                deg[u] += 1
+                c += 1
+                nbr.append(u)
+                prv.append(-1)
+                first = head[v]
+                nxt.append(first)
+                if first != -1:
+                    prv[first] = c
+                head[v] = c
+                deg[v] += 1
+                c += 1
+            except GraphBuildError:
+                raise
+            except (TypeError, ValueError):
+                raise GraphBuildError(
+                    f"edge {e!r} is not a pair of vertex ids") from None
 
     # -- queries ------------------------------------------------------
 

@@ -284,8 +284,3 @@ def run_manifest(path, reps=None, counters=False):
                for rec in run_row(cfg, base_dir, counters)]
     all_ok = all(r["status"] in ("ok", "skipped") for r in records)
     return records, all_ok
-
-
-def write_json(records, fh):
-    json.dump(records, fh, indent=2)
-    fh.write("\n")

@@ -1,11 +1,11 @@
 """Command-line front end.
 
     hybridgraph solve vc --input graph.clq --repr hybrid
-    hybridgraph solve ce --input toy.clq --k 3 --json
+    hybridgraph solve ce --input toy.clq --k 3
     hybridgraph bench benchmarks/manifest.json --out report.json
 
-`solve --json` prints ``SolverResult.as_dict()`` plus the instance
-name; `bench` writes a JSON list of the records described in
+`solve` prints ``SolverResult.as_dict()`` plus the instance name as
+JSON; `bench` writes a JSON list of the records described in
 ``hybridgraph.bench``.  Exit codes: 0 solved (or decision "yes"),
 1 decision "no", 2 error, 3 timeout.
 """
@@ -49,10 +49,8 @@ def main():
               help="Abort the search after this many seconds.")
 @click.option("--counters", is_flag=True,
               help="Add an instrumented run and report operation counters.")
-@click.option("--json", "as_json", is_flag=True, help="Emit the record as JSON.")
-def solve(problem, input_path, repr_name, k, fold, timeout_s, counters,
-          as_json):
-    """Solve one instance and print the result record."""
+def solve(problem, input_path, repr_name, k, fold, timeout_s, counters):
+    """Solve one instance and print its result record as JSON."""
     try:
         benchmod.check_options(problem, k, fold)
         spec, warnings = read_instance(input_path)
@@ -68,21 +66,7 @@ def solve(problem, input_path, repr_name, k, fold, timeout_s, counters,
         _fail(f"timeout after {timeout_s}s", EXIT_TIMEOUT)
     except ValueError as exc:
         _fail(exc)
-
-    if as_json:
-        click.echo(json.dumps({**res.as_dict(), "instance": spec.name}, indent=2))
-    else:
-        if k is None:   # an optimization problem
-            head = f"{problem} {spec.name}: size {res.size}"
-        else:
-            head = f"{problem} {spec.name}: {'yes' if res.answer else 'no'} (k={k})"
-        click.echo(f"{head}  repr={repr_name} nodes={res.nodes} "
-                   f"wall_ms={res.wall_ms:.3f}")
-        if res.counters:
-            for op in sorted(res.counters):
-                tally = res.counters[op]
-                click.echo(f"  {op}: calls={tally['calls']} "
-                           f"reads={tally['reads']} writes={tally['writes']}")
+    click.echo(json.dumps({**res.as_dict(), "instance": spec.name}, indent=2))
     if res.answer is False:
         sys.exit(EXIT_NO)
 
@@ -110,7 +94,8 @@ def bench(manifest, out, reps, counters):
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _fail(exc)
     with click.open_file(out, "w", encoding="ascii") as fh:
-        benchmod.write_json(records, fh)
+        json.dump(records, fh, indent=2)
+        fh.write("\n")
     if out != "-":
         click.echo(f"wrote {len(records)} records to {out}", err=True)
     bad = [r for r in records if r["status"] not in ("ok", "skipped")]

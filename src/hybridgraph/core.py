@@ -38,32 +38,45 @@ class GraphBuildError(ValueError):
     """Rejected input graph."""
 
 
+def check_vertex_count(n):
+    """Raise unless ``n`` is an int >= 0: a bool is not."""
+    if type(n) is bool or not isinstance(n, int):
+        raise GraphBuildError(f"vertex count must be an int, got {n!r}")
+    if n < 0:
+        raise GraphBuildError(f"negative vertex count {n}")
+
+
 class HybridGraph:
     """Plain mode: edge and vertex deletions, O(n) restore."""
 
     __slots__ = ("n", "al", "im", "vlist", "idxlist", "deg", "n_c")
 
     def __init__(self, n, edges):
-        if n < 0:
-            raise GraphBuildError(f"negative vertex count {n}")
+        check_vertex_count(n)
         self.n = n
         al = [[] for _ in range(n)]
         im = [[-1] * n for _ in range(n)]
         for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphBuildError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphBuildError(f"self-loop at vertex {u}")
-            imu = im[u]
-            if imu[v] != -1:
-                raise GraphBuildError(f"duplicate edge ({u},{v})")
-            alu = al[u]
-            alv = al[v]
-            imu[v] = len(alv)
-            alv.append(u)
-            im[v][u] = len(alu)
-            alu.append(v)
+            try:
+                u, v = e
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphBuildError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise GraphBuildError(f"self-loop at vertex {u}")
+                imu = im[u]
+                if imu[v] != -1:
+                    raise GraphBuildError(f"duplicate edge ({u},{v})")
+                alu = al[u]
+                alv = al[v]
+                imu[v] = len(alv)
+                alv.append(u)
+                im[v][u] = len(alu)
+                alu.append(v)
+            except GraphBuildError:
+                raise
+            except (TypeError, ValueError):
+                raise GraphBuildError(
+                    f"edge {e!r} is not a pair of vertex ids") from None
         self.al = al
         self.im = im
         self.vlist = list(range(n))

@@ -22,7 +22,7 @@ representation-independent.  The incumbent starts as every set, and
 the first dive is a greedy.
 """
 
-from ..core import GraphBuildError, HybridGraph
+from ..core import HybridGraph, check_vertex_count
 from .common import Search, build_representation, timed
 from .verify import verify_ds
 
@@ -93,13 +93,15 @@ def solve_ds_opt(n, edges, repr_name="hybrid", timeout=None,
                  instrumented=False):
     """Minimum dominating set size with a witness."""
     edges = list(edges)  # read again to verify the witness
+    check_vertex_count(n)   # 2 * n would take True for 2
     try:
         g = build_representation(repr_name, "plain", 2 * n,
                                  cover_edges(n, edges), instrumented)
-    except GraphBuildError:
-        # a valid graph has a valid cover graph, so this raises: the
-        # same fault, in the caller's numbering
+    except (TypeError, ValueError):
+        # a valid graph has a valid cover graph, so an input fault raises
+        # here, in the caller's numbering; any other error is re-raised
         HybridGraph(n, edges)
+        raise
     search = _CoverSearch(g, timeout)
     witness, wall = timed(n + 1, search.run, list(range(n)))
     if not verify_ds(n, edges, witness):

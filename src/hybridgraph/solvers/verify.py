@@ -2,22 +2,22 @@
 functions work from the pristine edge list, never from solver state."""
 
 
+def _distinct_ids(n, ids):
+    """Each id is an int (a bool is not) in range(n), none repeated."""
+    return (all(type(v) is int and 0 <= v < n for v in ids)
+            and len(set(ids)) == len(ids))
+
+
 def verify_vc(n, edges, witness):
     """witness covers every edge and names distinct real vertices."""
     w = set(witness)
-    if len(w) != len(witness):
-        return False
-    if any(v < 0 or v >= n for v in w):
-        return False
-    return all(u in w or v in w for u, v in edges)
+    return _distinct_ids(n, witness) and all(u in w or v in w for u, v in edges)
 
 
 def verify_ds(n, edges, witness):
     """Every vertex is in the witness or adjacent to a member."""
     w = set(witness)
-    if len(w) != len(witness):
-        return False
-    if any(v < 0 or v >= n for v in w):
+    if not _distinct_ids(n, witness):
         return False
     covered = set(w)
     for u, v in edges:
@@ -36,10 +36,10 @@ def verify_ce(n, edges, edits, budget):
     cur = {(u, v) if u < v else (v, u) for u, v in edges}
     touched = set()
     for op, u, v in edits:
-        pair = (u, v) if u < v else (v, u)
-        if pair in touched or u == v:
+        if not _distinct_ids(n, (u, v)):
             return False
-        if not (0 <= u < n and 0 <= v < n):
+        pair = (u, v) if u < v else (v, u)
+        if pair in touched:
             return False
         touched.add(pair)
         if op == "del":

@@ -35,13 +35,14 @@ def petersen_file(tmp_path):
 def test_solve_vc_human_output(runner, petersen_file):
     res = runner.invoke(main, ["solve", "vc", "--input", petersen_file])
     assert res.exit_code == 0
-    assert "size 6" in res.stdout
-    assert "nodes=" in res.stdout
+    record = json.loads(res.stdout)
+    assert record["size"] == 6
+    assert record["nodes"] > 0
+    assert record["instance"] == "petersen"
 
 
 def test_solve_ds_json(runner, petersen_file):
-    res = runner.invoke(
-        main, ["solve", "ds", "--input", petersen_file, "--json"])
+    res = runner.invoke(main, ["solve", "ds", "--input", petersen_file])
     assert res.exit_code == 0
     record = json.loads(res.stdout)
     assert record["size"] == 3
@@ -54,8 +55,17 @@ def test_solve_decision_exit_codes(runner, petersen_file):
         main, ["solve", "vc-parm", "--input", petersen_file, "--k", "6"])
     no = runner.invoke(
         main, ["solve", "vc-parm", "--input", petersen_file, "--k", "5"])
-    assert yes.exit_code == 0 and "yes" in yes.stdout
-    assert no.exit_code == 1 and "no" in no.stdout
+    assert yes.exit_code == 0 and json.loads(yes.stdout)["answer"] is True
+    assert no.exit_code == 1 and json.loads(no.stdout)["answer"] is False
+
+
+def test_solve_has_no_json_flag(runner, petersen_file):
+    # the record is the one output format, so no flag asks for it
+    res = runner.invoke(main, ["solve", "vc", "--input", petersen_file,
+                               "--json"])
+    assert res.exit_code == 2
+    assert "No such option" in res.stderr and "--json" in res.stderr
+    assert res.stdout == ""
 
 
 def test_solve_flag_validation(runner, petersen_file):
@@ -122,17 +132,16 @@ def test_solve_ce_huge_budget(runner, tmp_path):
     res = runner.invoke(
         main, ["solve", "ce", "--input", str(path), "--k", "9999999999"])
     assert res.exit_code == 0
-    assert "yes" in res.stdout
+    assert json.loads(res.stdout)["answer"] is True
 
 
 def test_solve_counters_output(runner, petersen_file):
     res = runner.invoke(
         main, ["solve", "vc", "--input", petersen_file, "--counters"])
     assert res.exit_code == 0
-    line = next(l for l in res.stdout.splitlines() if "delete_vertex:" in l)
-    parts = dict(kv.split("=") for kv in line.split()[1:])
-    assert int(parts["calls"]) > 0
-    assert int(parts["reads"]) > int(parts["calls"])
+    tally = json.loads(res.stdout)["counters"]["delete_vertex"]
+    assert tally["calls"] > 0
+    assert tally["reads"] > tally["calls"]
 
 
 def test_solve_fold_counters_output(runner, tmp_path):
@@ -142,7 +151,7 @@ def test_solve_fold_counters_output(runner, tmp_path):
     res = runner.invoke(main, ["solve", "vc-parm", "--input", str(path),
                                "--k", "5", "--fold", "--counters"])
     assert res.exit_code == 0
-    ops = {line.split(":")[0].strip() for line in res.stdout.splitlines()[1:]}
+    ops = set(json.loads(res.stdout)["counters"])
     assert {"contract", "delete_vertex", "snapshot", "restore"} <= ops
 
 
@@ -152,7 +161,7 @@ def test_solve_dimacs_with_warning(runner, tmp_path):
     res = runner.invoke(main, ["solve", "vc", "--input", str(path)])
     assert res.exit_code == 0
     assert "duplicate" in res.stderr
-    assert "size 1" in res.stdout
+    assert json.loads(res.stdout)["size"] == 1
 
 
 def _manifest(tmp_path, rows, defaults=None):
@@ -555,8 +564,7 @@ def test_solve_and_bench_records_agree(runner, petersen_file, problem,
     # is the solve record plus row fields, with the median wall time over
     # the reps
     res = runner.invoke(main, ["solve", problem, "--input", petersen_file,
-                               "--repr", repr_name, "--counters", "--json",
-                               *extra])
+                               "--repr", repr_name, "--counters", *extra])
     assert res.exit_code in (0, 1)   # ce at k = 3 answers no
     solved = json.loads(res.stdout)
     out = Path(petersen_file).with_suffix(".json")

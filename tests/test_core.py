@@ -151,6 +151,23 @@ def test_repr_names_the_class_and_the_active_count():
                  "duplicate edge (1,0)", id="first-duplicate"),
     pytest.param(3, [(0, 1), (2, 2), (1, 0)], GraphBuildError,
                  "self-loop at vertex 2", id="first-self-loop-before-duplicate"),
+    # a vertex count is an int and a vertex id an int; a bool is no count
+    pytest.param(2.5, [], GraphBuildError,
+                 "vertex count must be an int, got 2.5", id="float-n"),
+    pytest.param(True, [], GraphBuildError,
+                 "vertex count must be an int, got True", id="bool-n"),
+    pytest.param("3", [], GraphBuildError,
+                 "vertex count must be an int, got '3'", id="str-n"),
+    pytest.param(3, [(0.0, 1)], GraphBuildError,
+                 "edge (0.0, 1) is not a pair of vertex ids", id="float-id"),
+    pytest.param(3, [(0, 1), ("0", 2)], GraphBuildError,
+                 "edge ('0', 2) is not a pair of vertex ids", id="str-id"),
+    pytest.param(3, [5], GraphBuildError,
+                 "edge 5 is not a pair of vertex ids", id="not-a-pair"),
+    pytest.param(3, [(0, 1, 2)], GraphBuildError,
+                 "edge (0, 1, 2) is not a pair of vertex ids", id="triple"),
+    pytest.param(3, [(0, 5), (0, 1, 2)], GraphBuildError,
+                 "edge (0,5) out of range for n=3", id="first-range-before-triple"),
 ])
 @pytest.mark.parametrize("cls", [HybridGraph, BaselineGraph],
                          ids=lambda c: c.__name__)

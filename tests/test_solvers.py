@@ -129,6 +129,14 @@ def test_negative_budget_raises(solve):
     (3, [(1, 1)], "self-loop at vertex 1"),
     (3, [(0, 1), (1, 0)], "duplicate edge (1,0)"),
     (-1, [], "negative vertex count -1"),
+    (2.5, [], "vertex count must be an int, got 2.5"),
+    # the cover graph's 2n vertices would take True for 2
+    (True, [], "vertex count must be an int, got True"),
+    (3, [(0.0, 1)], "edge (0.0, 1) is not a pair of vertex ids"),
+    # cover_edges itself fails on these, before any build
+    (3, [("0", 1)], "edge ('0', 1) is not a pair of vertex ids"),
+    (3, [5], "edge 5 is not a pair of vertex ids"),
+    (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertex ids"),
 ])
 def test_ds_build_errors_name_the_input_graph(repr_name, n, edges, message):
     # the search runs on a 2n-vertex cover graph; its build errors are
@@ -153,11 +161,40 @@ def test_rejected_witness_raises(monkeypatch, module, verify, solve):
 
 @pytest.mark.parametrize("verify", [verify_vc, verify_ds])
 @pytest.mark.parametrize("witness", [[0, 0, 1, 2], [0, 1, 2, 4],
-                                     [-1, 0, 1, 2]])
+                                     [-1, 0, 1, 2], [True, 0, 2, 3],
+                                     [0, 1, 2, 3.0]])
 def test_verify_rejects_repeated_or_out_of_range_vertices(verify, witness):
     n, edges = path(4)
     assert verify(n, edges, [0, 1, 2, 3])
     assert not verify(n, edges, witness)
+
+
+def test_verify_ce_rejects_bad_endpoints():
+    edges = [(0, 1), (1, 2)]
+    assert verify_ce(3, edges, [("del", 1, 2)], 1)
+    for edit in [("del", True, 2), ("del", 1, 2.0), ("del", 1, 1),
+                 ("del", 1, 3), ("add", -1, 2), ("del", "1", 2)]:
+        assert not verify_ce(3, edges, [edit], 1), edit
+
+
+@pytest.mark.parametrize("solve, reprs", [
+    (solve_vc_opt, REPRS),
+    (partial(solve_vc_parm, k=1), REPRS),
+    (partial(solve_vc_parm, k=1, fold=True), ("hybrid",)),
+    (solve_ds_opt, REPRS),
+    (partial(solve_ce_parm, k=1), REPRS),
+], ids=["vc", "vc-parm", "vc-parm-fold", "ds", "ce"])
+@pytest.mark.parametrize("n, edges, message", [
+    (2.5, [], "vertex count must be an int, got 2.5"),
+    (True, [], "vertex count must be an int, got True"),
+    (3, [(0.0, 1)], "edge (0.0, 1) is not a pair of vertex ids"),
+    (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertex ids"),
+], ids=["float-n", "bool-n", "float-id", "triple"])
+def test_malformed_graph_raises_build_error(solve, reprs, n, edges, message):
+    for repr_name in reprs:
+        with pytest.raises(GraphBuildError) as err:
+            solve(n, edges, repr_name=repr_name)
+        assert str(err.value) == message
 
 
 def test_vc_fold_unfolds_path_and_cycle_witnesses():
