@@ -45,7 +45,8 @@ agreeing pair), status (ok | timeout | error | skipped) and error.  A
 row or representation that did not solve gives a record of the row
 fields, problem and repr only.  A missing value is None.  With
 ``counters``, one extra untimed instrumented run per representation
-fills the record's ``counters``.
+fills the record's ``counters``; it has no deadline, since the timed
+run has already finished the same tree.
 """
 
 import json
@@ -97,16 +98,20 @@ def dispatch_solve(problem, n, edges, repr_name, k=None, fold=False,
                    timeout=None, counters=False):
     """Route one (problem, graph, config) to its solver.  With
     ``counters``, the timed result also carries the operation counters
-    of one extra, untimed instrumented run of the same search.  The
-    caller has passed the options through ``check_options``."""
+    of one extra, untimed instrumented run of the same search.  Only
+    the timed run is held to ``timeout``: the rerun walks the same
+    deterministic tree the timed run has already finished, several
+    times slower, so it runs without a deadline.  The caller has
+    passed the options through ``check_options``."""
     solver, takes_k, _takes_fold = PROBLEMS[problem]
     args = (k,) if takes_k else ()
-    kw = {"repr_name": repr_name, "timeout": timeout}
+    kw = {"repr_name": repr_name}
     if fold:
         kw["fold"] = True
-    res = solver(n, edges, *args, **kw)
+    res = solver(n, edges, *args, **kw, timeout=timeout)
     if counters:
-        res.counters = solver(n, edges, *args, **kw, instrumented=True).counters
+        res.counters = solver(n, edges, *args, **kw, timeout=None,
+                              instrumented=True).counters
     return res
 
 

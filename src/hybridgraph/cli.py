@@ -48,7 +48,8 @@ def main():
 @click.option("--timeout-s", type=float, default=None,
               help="Abort the search after this many seconds.")
 @click.option("--counters", is_flag=True,
-              help="Add an instrumented run and report operation counters.")
+              help="Add an untimed instrumented run and report operation "
+                   "counters; --timeout-s bounds the timed run only.")
 def solve(problem, input_path, repr_name, k, fold, timeout_s, counters):
     """Solve one instance and print its result record as JSON."""
     try:
@@ -78,7 +79,8 @@ def solve(problem, input_path, repr_name, k, fold, timeout_s, counters):
 @click.option("--reps", type=int, default=None,
               help="Override repetitions per run (median is reported).")
 @click.option("--counters", is_flag=True,
-              help="Add an untimed instrumented run per row.")
+              help="Add an untimed instrumented run per row, with no "
+                   "deadline.")
 def bench(manifest, out, reps, counters):
     """Run a benchmark manifest and write its records as JSON."""
     # an unwritable --out fails before any row runs; opening it to

@@ -50,10 +50,10 @@ def parse_dimacs(lines, name="dimacs"):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
-        if line[0] == "p":
+        parts = line.split()
+        if parts[0] == "p":
             if n is not None:
                 raise InstanceFormatError(f"line {lineno}: second problem line")
-            parts = line.split()
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise InstanceFormatError(f"line {lineno}: bad problem line {line!r}")
             try:
@@ -63,10 +63,9 @@ def parse_dimacs(lines, name="dimacs"):
                 raise InstanceFormatError(f"line {lineno}: bad problem line {line!r}")
             if n < 0 or m_declared < 0:
                 raise InstanceFormatError(f"line {lineno}: negative sizes")
-        elif line[0] == "e":
+        elif parts[0] == "e":
             if n is None:
                 raise InstanceFormatError(f"line {lineno}: edge before problem line")
-            parts = line.split()
             if len(parts) != 3:
                 raise InstanceFormatError(f"line {lineno}: bad edge line {line!r}")
             try:
@@ -88,7 +87,7 @@ def parse_dimacs(lines, name="dimacs"):
             edges.append(key)
         else:
             raise InstanceFormatError(f"line {lineno}: unrecognized record "
-                f"{line.split()[0]!r}; DIMACS lines are 'c ...', 'p edge N M' or 'e U V'")
+                f"{parts[0]!r}; DIMACS lines are 'c ...', 'p edge N M' or 'e U V'")
     if n is None:
         raise InstanceFormatError("missing problem line")
     if m_declared not in (len(edges), len(edges) + dupes):

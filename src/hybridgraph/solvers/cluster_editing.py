@@ -13,12 +13,15 @@ visible); one scan over the rows left, each sorted once, then yields
 the first conflict triple (x,y,z) with xy, yz edges and xz a
 non-edge, in lexicographic order, plus a greedy edit-disjoint conflict
 packing whose size lower bounds the remaining budget.  The scan meets
-each conflict once, from its lower end (x < z), so a full scan asks
-``is_adjacent`` once per two-edge path x-y-z.  It stops as soon as the
-packing exceeds the budget, which fixes the node's answer, so a node
-that is cut off asks fewer.  A scan that completes also counts, for
-each of the triple's three pairs, the conflicts that contain it, from
-the rows alone.
+each conflict once, from its lower end (x < z): x runs upwards, and
+each centre y's sorted row sits in a deque that every x is popped off
+as it comes, so what y has left is exactly its neighbours above x and
+no path with z <= x is walked.  A full scan asks ``is_adjacent`` once
+per two-edge path x-y-z.  It stops as soon as the packing exceeds
+the budget, which fixes the node's answer, so a node that is cut off
+asks fewer.  A scan that completes also counts, for each of the
+triple's three pairs, the conflicts that contain it, from the rows
+alone.
 Branching edits one of the triple's three pairs, the pair in most
 conflicts first; ties keep the order del xy, del yz, add xz.  A branch
 whose pair is frozen is skipped, and a conflict with all three pairs
@@ -26,6 +29,8 @@ frozen is unresolvable.  Once a branch fails, its pair is frozen for
 the branches after it: every solution that edits the pair lies in the
 subtree that just failed.
 """
+
+from collections import deque
 
 from .common import Search, build_representation, check_budget, timed
 from .verify import verify_ce
@@ -77,7 +82,10 @@ class _EditSearch(Search):
         too when there is no conflict.
 
         A conflict (x, y, z) is the same path as (z, y, x), so it is
-        met once, from its lower end x < z.  That loses nothing against
+        met once, from its lower end x < z.  ``rest[y]`` is a deque of
+        y's sorted row; as x runs upwards, each y in N(x) pops x off
+        its front (y's smaller neighbours were earlier x's), so what is
+        left is exactly the z > x, ascending.  That loses nothing against
         a scan of both orientations: the first conflict in
         lexicographic order has x < z, and when such a scan met the
         reversed copy, the lower one had been packed (its pairs are in
@@ -86,17 +94,20 @@ class _EditSearch(Search):
         adj = self.g.is_adjacent
         for row in nbrs.values():
             row.sort()
+        rest = {v: deque(row) for v, row in nbrs.items()}
         first = None
         used = set()
         packed = 0
         for x in sorted(nbrs):
             for y in nbrs[x]:
-                pxy = (x, y) if x < y else (y, x)
-                for z in nbrs[y]:
-                    if z <= x or adj(x, z):
+                ry = rest[y]
+                ry.popleft()  # x itself
+                for z in ry:
+                    if adj(x, z):
                         continue
                     if first is None:
                         first = (x, y, z)
+                    pxy = (x, y) if x < y else (y, x)
                     pyz = (y, z) if y < z else (z, y)
                     pxz = (x, z)
                     if pxy not in used and pyz not in used and pxz not in used:

@@ -15,7 +15,12 @@ A scan that completes also returns, for each pair of the first
 conflict, the number of conflicts that contain it; the search branches
 on those pairs in descending count order.  The reference for the
 counts enumerates the conflict paths as the reference scan does and
-counts each once, from x < z."""
+counts each once, from x < z.
+
+The scan must also ask ``is_adjacent`` the same questions in the same
+order as a plain x-major walk over the paths with x < z, cut where the
+packing passes the budget: that order is what makes the first conflict
+and the greedy packing the ones the search branches and bounds on."""
 
 import math
 import random
@@ -71,6 +76,47 @@ def ref_pair_counts(g, first):
                 for i, p in enumerate(want):
                     counts[i] += p in pairs
     return tuple(counts)
+
+
+def ref_questions(g, k=math.inf):
+    """The (x, z) pairs a scan with budget k asks ``is_adjacent``
+    about, in x-major order: x ascending, then y in N(x) ascending,
+    then z in N(y) above x ascending.  The list ends at the question
+    after which the greedy packing exceeds k."""
+    asked = []
+    used = set()
+    packed = 0
+    for x in sorted(g.active_vertices()):
+        for y in sorted(g.neighbors(x)):
+            for z in sorted(g.neighbors(y)):
+                if z <= x:
+                    continue
+                asked.append((x, z))
+                if g.is_adjacent(x, z):
+                    continue
+                pairs = ((min(x, y), max(x, y)), (min(y, z), max(y, z)),
+                         (x, z))
+                if all(p not in used for p in pairs):
+                    used.update(pairs)
+                    packed += 1
+                    if packed > k:
+                        return asked
+    return asked
+
+
+class _Asking:
+    """A graph whose ``is_adjacent`` questions are recorded in order."""
+
+    def __init__(self, g):
+        self.g = g
+        self.asked = []
+
+    def __getattr__(self, name):
+        return getattr(self.g, name)
+
+    def is_adjacent(self, u, v):
+        self.asked.append((u, v))
+        return self.g.is_adjacent(u, v)
 
 
 def _scan(g, k=math.inf):
@@ -159,14 +205,16 @@ def test_scan_asks_each_path_once(repr_name):
 
 @pytest.mark.parametrize("repr_name", REPR_NAMES)
 def test_budgeted_scan_stops_past_the_budget(repr_name):
+    # the questions themselves, in order, not just their number: a scan
+    # that walks each centre's pairs, or any order but x-major, packs
+    # other conflicts first and stops at another question
     rng = random.Random(4150 + REPR_NAMES.index(repr_name))
     cut = 0
     for trial in range(40):
         n = rng.randrange(2, 22)
         m = rng.randrange(0, n * (n - 1) // 2 + 1)
         g = build_representation(repr_name, "addition",
-                                 *gnm(n, m, rng.randrange(1 << 30)),
-                                 instrumented=True)
+                                 *gnm(n, m, rng.randrange(1 << 30)))
         frozen = set()
         for _ in range(rng.randrange(5, 20)):
             if rng.random() < 0.9:
@@ -174,15 +222,13 @@ def test_budgeted_scan_stops_past_the_budget(repr_name):
             elif g.active_count():
                 _drop_component(g, rng)
             ref_first, ref_packed = ref_first_conflict_and_bound(g)
-            before = g.counters.calls.get("is_adjacent", 0)
-            assert _scan(g)[:2] == (ref_first, ref_packed)
-            full = g.counters.calls.get("is_adjacent", 0) - before
-            for k in range(5):
-                before = g.counters.calls.get("is_adjacent", 0)
-                assert _scan(g, k)[:2] == (ref_first, min(ref_packed, k + 1))
-                asked = g.counters.calls.get("is_adjacent", 0) - before
-                assert asked <= full
-                cut += asked < full
+            full = ref_questions(g)
+            for k in (math.inf, 0, 1, 2, 3, 4):
+                spy = _Asking(g)
+                assert _scan(spy, k)[:2] == (ref_first,
+                                             min(ref_packed, k + 1))
+                assert spy.asked == ref_questions(g, k)
+                cut += len(spy.asked) < len(full)
     # some budgets do cut a scan short
     assert cut > 100
 

@@ -155,6 +155,26 @@ def test_solve_fold_counters_output(runner, tmp_path):
     assert {"contract", "delete_vertex", "snapshot", "restore"} <= ops
 
 
+def test_counters_rerun_has_no_deadline(runner, petersen_file, monkeypatch):
+    # the instrumented rerun walks the tree the timed run has finished,
+    # several times slower, so --timeout-s must bound the timed run only
+    calls = []
+
+    def spy_solver(n, edges, repr_name="hybrid", timeout=None,
+                   instrumented=False):
+        calls.append((timeout, instrumented))
+        res = SolverResult("ds", n, 2, [0, 1], 5, 1.0, repr_name, size=2)
+        res.counters = {"restore": {"calls": 1}} if instrumented else None
+        return res
+
+    monkeypatch.setitem(benchmod.PROBLEMS, "ds", (spy_solver, False, False))
+    res = runner.invoke(main, ["solve", "ds", "--input", petersen_file,
+                               "--timeout-s", "0.25", "--counters"])
+    assert res.exit_code == 0
+    assert calls == [(0.25, False), (None, True)]
+    assert json.loads(res.stdout)["counters"] == {"restore": {"calls": 1}}
+
+
 def test_solve_dimacs_with_warning(runner, tmp_path):
     path = tmp_path / "dup.col"
     path.write_text("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n")

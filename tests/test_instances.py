@@ -55,6 +55,9 @@ def test_parse_dimacs_count_mismatch_warns():
         ("e 1 2\n", "edge before problem line"),
         ("p edge 3 0\np edge 3 0\n", "second problem line"),
         ("p edge 3 1\nq 1 2\n", "unrecognized"),
+        ("p edge 3 1\ne1 2 3\n", "unrecognized record 'e1'"),
+        ("p edge 3 1\nex 1 2\n", "unrecognized record 'ex'"),
+        ("px edge 3 1\n", "unrecognized record 'px'"),
         ("p knapsack 3 1\n", "bad problem line"),
         ("p edge three 1\n", "bad problem line"),
         ("p edge 3 -1\n", "negative sizes"),
